@@ -11,6 +11,7 @@ namespace {
 
 class Writer {
  public:
+  explicit Writer(std::vector<std::uint8_t>& out) : buf_(out) {}
   void u8(std::uint8_t v) { buf_.push_back(v); }
   void u16(std::uint16_t v) { le(v); }
   void u32(std::uint32_t v) { le(v); }
@@ -27,8 +28,6 @@ class Writer {
     u16(static_cast<std::uint16_t>(list.size()));
     for (const auto n : list) node(n);
   }
-  [[nodiscard]] std::vector<std::uint8_t> take() { return std::move(buf_); }
-
  private:
   template <typename T>
   void le(T v) {
@@ -36,7 +35,7 @@ class Writer {
       buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
     }
   }
-  std::vector<std::uint8_t> buf_;
+  std::vector<std::uint8_t>& buf_;
 };
 
 // ---- reader (bounds-checked; ok() goes false on any overrun)
@@ -276,10 +275,15 @@ struct EncodeVisitor {
 
 }  // namespace
 
-std::vector<std::uint8_t> encode(const gossip::Message& msg) {
-  Writer w;
+void encode_into(const gossip::Message& msg, std::vector<std::uint8_t>& out) {
+  Writer w(out);
   std::visit(EncodeVisitor{w}, msg);
-  return w.take();
+}
+
+std::vector<std::uint8_t> encode(const gossip::Message& msg) {
+  std::vector<std::uint8_t> out;
+  encode_into(msg, out);
+  return out;
 }
 
 std::optional<gossip::Message> decode(const std::uint8_t* data,

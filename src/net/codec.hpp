@@ -37,6 +37,10 @@ namespace lifting::net {
 /// receiver can account for it).
 [[nodiscard]] std::vector<std::uint8_t> encode(const gossip::Message& msg);
 
+/// Appends the bytes encode(msg) returns to `out` (existing contents are
+/// kept), so a caller can serialize straight into a reused frame buffer.
+void encode_into(const gossip::Message& msg, std::vector<std::uint8_t>& out);
+
 /// Decodes a message; std::nullopt on malformed/truncated input (never
 /// throws, never reads out of bounds).
 [[nodiscard]] std::optional<gossip::Message> decode(

@@ -7,8 +7,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <ctime>
 
 #include "net/codec.hpp"
 
@@ -76,6 +78,7 @@ bool UdpTransport::add_endpoint(NodeId id, Handler handler) {
   ep.port = ntohs(addr.sin_port);
   ep.handler = std::move(handler);
   sockets_.emplace(id, std::move(ep));
+  pollfds_.push_back(pollfd{fd, POLLIN, 0});
   return true;
 }
 
@@ -113,24 +116,23 @@ bool UdpTransport::send_with_modeled(NodeId from, NodeId to,
     ++send_failures_;
     return false;
   }
-  const auto codec = encode(msg);
-  if (codec.size() > 0xFFFF) {  // codec_len is a u16
-    ++send_failures_;
-    return false;
-  }
   const std::uint32_t payload = trailing_payload_bytes(msg);
   auto& frame = frame_scratch_;
   frame.clear();
-  frame.reserve(kFrameHeaderBytes + codec.size() + payload);
   const std::uint32_t sender = from.value();
   frame.push_back(static_cast<std::uint8_t>(sender));
   frame.push_back(static_cast<std::uint8_t>(sender >> 8));
   frame.push_back(static_cast<std::uint8_t>(sender >> 16));
   frame.push_back(static_cast<std::uint8_t>(sender >> 24));
-  const auto codec_len = static_cast<std::uint16_t>(codec.size());
-  frame.push_back(static_cast<std::uint8_t>(codec_len));
-  frame.push_back(static_cast<std::uint8_t>(codec_len >> 8));
-  frame.insert(frame.end(), codec.begin(), codec.end());
+  frame.resize(kFrameHeaderBytes);  // codec_len, patched once it is known
+  encode_into(msg, frame);
+  const std::size_t codec_len = frame.size() - kFrameHeaderBytes;
+  if (codec_len > 0xFFFF) {  // codec_len is a u16
+    ++send_failures_;
+    return false;
+  }
+  frame[4] = static_cast<std::uint8_t>(codec_len);
+  frame[5] = static_cast<std::uint8_t>(codec_len >> 8);
   // Chunk body: this repo disseminates metadata-only chunks, so the body is
   // a zero-filled placeholder of the real size — the datagram on the wire
   // is as long as a deployment's would be.
@@ -204,20 +206,19 @@ std::size_t UdpTransport::poll() {
       if (ep.handler) {
         ep.handler(NodeId{sender}, std::move(*decoded));
         ++delivered;
+        ++received_;
       }
     }
   }
   return delivered;
 }
 
-std::size_t UdpTransport::poll_wait(int timeout_ms) {
-  std::vector<pollfd> fds;
-  fds.reserve(sockets_.size());
-  for (const auto& [id, ep] : sockets_) {
-    fds.push_back(pollfd{ep.fd, POLLIN, 0});
-  }
-  if (fds.empty()) return 0;
-  const int ready = ::poll(fds.data(), fds.size(), timeout_ms);
+std::size_t UdpTransport::poll_wait(Duration timeout) {
+  if (pollfds_.empty()) return 0;
+  const auto us = std::max(timeout.count(), Duration::rep{0});
+  const timespec ts{static_cast<std::time_t>(us / 1'000'000),
+                    static_cast<long>(us % 1'000'000) * 1000};
+  const int ready = ::ppoll(pollfds_.data(), pollfds_.size(), &ts, nullptr);
   if (ready <= 0) return 0;
   return poll();
 }

@@ -1,6 +1,8 @@
 #ifndef LIFTING_NET_UDP_TRANSPORT_HPP
 #define LIFTING_NET_UDP_TRANSPORT_HPP
 
+#include <poll.h>
+
 #include <array>
 #include <cstdint>
 #include <functional>
@@ -8,6 +10,7 @@
 #include <variant>
 #include <vector>
 
+#include "common/time.hpp"
 #include "common/types.hpp"
 #include "gossip/message.hpp"
 #include "net/transport.hpp"
@@ -17,7 +20,8 @@
 /// socket; messages are framed with the net::codec wire format (see
 /// codec.hpp for the frame layout: sender id + codec length + codec bytes
 /// + serve payload, all little-endian). `poll()` drains all sockets and
-/// dispatches to the registered handlers — call it from your event loop.
+/// dispatches to the registered handlers; `poll_wait()` first sleeps until a
+/// socket is readable or a timeout passes — call either from your event loop.
 ///
 /// A transport usually hosts one endpoint per process (the lifting_node
 /// daemon) with `add_route` naming the other nodes' ports, but it can hold
@@ -83,14 +87,20 @@ class UdpTransport final : public Transport {
   /// of messages delivered.
   std::size_t poll();
 
-  /// Blocks up to `timeout_ms` waiting for any socket to become readable,
-  /// then polls. Returns messages delivered.
-  std::size_t poll_wait(int timeout_ms);
+  /// Blocks until a socket is readable, `timeout` has passed or a signal
+  /// arrives, then drains if a socket is readable. The timeout has µs
+  /// resolution and is never cut short (a zero or negative timeout does not
+  /// block). Returns messages delivered.
+  std::size_t poll_wait(Duration timeout);
 
   [[nodiscard]] std::size_t endpoints() const noexcept {
     return sockets_.size();
   }
   [[nodiscard]] std::uint64_t messages_sent() const noexcept { return sent_; }
+  /// Messages decoded and handed to an endpoint's handler.
+  [[nodiscard]] std::uint64_t messages_received() const noexcept {
+    return received_;
+  }
   /// Frames that failed to decode: runts (shorter than the frame header —
   /// including zero-length datagrams), bad codec bytes, or a serve whose
   /// trailing payload length contradicts its payload_bytes field.
@@ -129,8 +139,12 @@ class UdpTransport final : public Transport {
 
   std::unordered_map<NodeId, Endpoint> sockets_;
   std::unordered_map<NodeId, std::uint16_t> routes_;
+  /// One POLLIN entry per endpoint, filled by add_endpoint, so a wait
+  /// allocates nothing.
+  std::vector<pollfd> pollfds_;
   std::vector<std::uint8_t> frame_scratch_;
   std::uint64_t sent_ = 0;
+  std::uint64_t received_ = 0;
   std::uint64_t decode_failures_ = 0;
   std::uint64_t socket_errors_ = 0;
   std::uint64_t send_failures_ = 0;

@@ -14,9 +14,6 @@ namespace {
 /// After the stream ends, keep polling this long so in-flight datagrams
 /// (tail serves, acks of the final period) land before stats are read.
 constexpr Duration kDrainWindow = milliseconds(300);
-/// Longest poll_wait nap — bounds how late a timer can fire past its due
-/// time when no datagram wakes the loop earlier.
-constexpr Duration kMaxNap = milliseconds(5);
 }  // namespace
 
 NodeHost::NodeHost(const ScenarioConfig& config, NodeId self)
@@ -36,6 +33,9 @@ NodeHost::NodeHost(const ScenarioConfig& config, NodeId self)
 
   const bool bound =
       udp_.add_endpoint(self_, [this](NodeId from, gossip::Message msg) {
+        // A datagram is handled at the wall-clock time it is drained, not
+        // at the time the loop went to sleep: timers due by now fire first.
+        advance_clock();
         // Same routing split as Experiment::make_node: the leading variant
         // alternatives are the gossip kinds, the rest is LiFTinG traffic.
         if (msg.index() < gossip::kGossipKindCount) {
@@ -110,6 +110,9 @@ void NodeHost::collect_metrics(obs::Registry& out) const {
   out.set_counter("invalid_requests", engine.invalid_requests);
   out.set_counter("duplicate_requests", engine.duplicate_requests);
   out.set_counter("messages_sent", udp_.messages_sent());
+  out.set_counter("messages_received", udp_.messages_received());
+  out.set_counter("timers_fired", sim_.events_processed());
+  out.set_counter("loop_wakeups", loop_wakeups_);
   out.set_counter("decode_failures", udp_.decode_failures());
   out.set_counter("socket_errors", udp_.socket_errors());
   out.set_counter("send_failures", udp_.send_failures());
@@ -140,9 +143,17 @@ void NodeHost::set_roster(const std::vector<std::uint16_t>& ports) {
   roster_set_ = true;
 }
 
+TimePoint NodeHost::wall_now() const {
+  return kSimEpoch + std::chrono::duration_cast<Duration>(
+                         std::chrono::steady_clock::now() - wall0_);
+}
+
+void NodeHost::advance_clock() {
+  sim_.run_until(std::min(wall_now(), horizon_));
+}
+
 void NodeHost::run() {
   require(roster_set_, "set_roster before run()");
-  using Clock = std::chrono::steady_clock;
 
   // Desynchronized start like the simulator's population (the per-node
   // stream constant is the joiner-offset base, unused in the static wire
@@ -161,35 +172,30 @@ void NodeHost::run() {
     sim_.schedule_after(stat_interval_, [this, end] { stat_tick(end); });
   }
   const TimePoint drain_end = end + kDrainWindow;
-  const auto wall0 = Clock::now();
-  const auto wall_now = [&] {
-    return kSimEpoch +
-           std::chrono::duration_cast<Duration>(Clock::now() - wall0);
-  };
+  wall0_ = std::chrono::steady_clock::now();
+  horizon_ = end;
 
   // The drive loop: advance the virtual clock to the wall clock (firing
-  // every due protocol timer at its scheduled virtual timestamp), drain
-  // the socket, then sleep until the next timer or datagram.
-  bool wound_down = false;
+  // every due protocol timer at its scheduled virtual timestamp), then
+  // sleep until the earliest of the next timer, the current horizon (stream
+  // end, then drain end) or a datagram. Nothing else wakes the loop.
   for (;;) {
-    const TimePoint now = std::min(wall_now(), drain_end);
-    sim_.run_until(wound_down ? now : std::min(now, end));
-    udp_.poll();
-    if (!wound_down && now >= end) {
+    advance_clock();
+    if (horizon_ == end && sim_.now() >= end) {
       // Wind down in Experiment::wind_down order; the stopped stacks keep
       // answering incoming traffic while the drain window runs.
-      wound_down = true;
+      horizon_ = drain_end;
       if (source_) source_->stop();
       engine_->stop();
       if (agent_) agent_->stop();
     }
-    if (now >= drain_end) break;
-    Duration nap = kMaxNap;
-    if (sim_.has_pending()) {
-      const TimePoint next = sim_.next_event_time();
-      nap = next > now ? std::min(nap, next - now) : Duration::zero();
-    }
-    udp_.poll_wait(static_cast<int>(nap.count() / 1000));
+    if (sim_.now() >= drain_end) break;
+    TimePoint wake = horizon_;
+    if (sim_.has_pending()) wake = std::min(wake, sim_.next_event_time());
+    // wall_now() rounds down to a whole µs, so the wait rounds up: the
+    // loop never wakes before `wake` is due.
+    ++loop_wakeups_;
+    udp_.poll_wait(wake - wall_now());
   }
 }
 

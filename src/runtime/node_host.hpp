@@ -1,6 +1,7 @@
 #ifndef LIFTING_RUNTIME_NODE_HOST_HPP
 #define LIFTING_RUNTIME_NODE_HOST_HPP
 
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -35,9 +36,14 @@
 ///
 /// Time: protocol timers still run on the sim::Simulator event queue, but
 /// run() slaves the virtual clock to std::chrono::steady_clock — due
-/// timers fire at their scheduled virtual timestamps while the loop blocks
-/// in UdpTransport::poll_wait between deadlines. The same Engine/Agent
-/// code drives both backends; only the outermost loop differs.
+/// timers fire at their scheduled virtual timestamps. Between deadlines the
+/// loop sleeps in UdpTransport::poll_wait, and only four things wake it: a
+/// due timer, a readable datagram, stream end and drain end. An idle daemon
+/// therefore costs no CPU, and loop_wakeups (see collect_metrics) stays
+/// within a small multiple of timers fired plus datagrams received. A
+/// drained datagram is handled at the current wall-clock time, after the
+/// timers due by then. The same Engine/Agent code drives both backends;
+/// only the outermost loop differs.
 
 namespace lifting::obs {
 class Registry;
@@ -113,13 +119,19 @@ class NodeHost {
   void set_stat_hook(Duration interval, std::function<void()> hook);
 
   /// Folds every scattered counter family — engine, transport, faults,
-  /// audit channel, trace ring — into `out` as absolute totals
+  /// audit channel, drive loop (timers_fired, loop_wakeups), trace ring —
+  /// into `out` as absolute totals
   /// (idempotent re-fold; the wire counterpart of
   /// Experiment::collect_metrics).
   void collect_metrics(obs::Registry& out) const;
 
  private:
   void stat_tick(TimePoint end);
+  /// The virtual time the wall clock reads (whole µs since run() began).
+  [[nodiscard]] TimePoint wall_now() const;
+  /// Fires every timer due by the wall clock, capped at horizon_.
+  void advance_clock();
+
   ScenarioConfig config_;
   NodeId self_;
   bool freerider_ = false;
@@ -142,6 +154,11 @@ class NodeHost {
   Duration stat_interval_ = Duration::zero();
   std::function<void()> stat_hook_;
   bool roster_set_ = false;
+  /// run()'s wall-clock origin and its current clock cap: stream end until
+  /// wind-down, drain end after.
+  std::chrono::steady_clock::time_point wall0_;
+  TimePoint horizon_ = kSimEpoch;
+  std::uint64_t loop_wakeups_ = 0;
 };
 
 }  // namespace lifting::runtime

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "net/codec.hpp"
 
 namespace lifting::net {
@@ -229,6 +231,27 @@ TEST(Codec, EveryKindRejectsAllTruncations) {
       EXPECT_FALSE(decode(bytes.data(), cut).has_value())
           << "kind " << k << " accepted a " << cut << "-byte prefix";
     }
+  }
+}
+
+// encode() is a thin wrapper over encode_into(): appending to a buffer that
+// already holds bytes (a frame header, in the transport) leaves them intact
+// and adds exactly the bytes encode() returns, for every kind.
+TEST(Codec, EncodeIntoAppendsExactlyEncode) {
+  const auto samples = sample_messages();
+  ASSERT_EQ(samples.size(), std::variant_size_v<gossip::Message>);
+  for (std::size_t k = 0; k < samples.size(); ++k) {
+    const std::vector<std::uint8_t> prefix{0xAB, 0xCD, 0xEF};
+    auto out = prefix;
+    encode_into(samples[k], out);
+    const auto expected = encode(samples[k]);
+    ASSERT_EQ(out.size(), prefix.size() + expected.size()) << "kind " << k;
+    EXPECT_TRUE(std::equal(prefix.begin(), prefix.end(), out.begin()))
+        << "kind " << k;
+    EXPECT_TRUE(std::equal(expected.begin(), expected.end(),
+                           out.begin() + static_cast<std::ptrdiff_t>(
+                                             prefix.size())))
+        << "kind " << k;
   }
 }
 

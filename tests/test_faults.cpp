@@ -187,7 +187,7 @@ TEST(Faults, AsymmetricPartitionDropsOneDirectionOnly) {
   injector.send(NodeId{1}, NodeId{0}, sim::Channel::kDatagram,
                 gossip::wire_size(msg), msg);
   std::size_t delivered = 0;
-  for (int i = 0; i < 50 && delivered < 1; ++i) delivered += udp.poll_wait(20);
+  for (int i = 0; i < 50 && delivered < 1; ++i) delivered += udp.poll_wait(milliseconds(20));
   EXPECT_EQ(at_island, 1u);
   EXPECT_EQ(at_main, 0u);
   EXPECT_EQ(injector.stats().dropped_partition, 1u);
@@ -232,7 +232,7 @@ TEST(Faults, InjectorDuplicatesOverTheUdpTransport) {
   injector.send(NodeId{0}, NodeId{1}, sim::Channel::kDatagram,
                 gossip::wire_size(msg), msg);
   std::size_t delivered = 0;
-  for (int i = 0; i < 50 && delivered < 2; ++i) delivered += udp.poll_wait(20);
+  for (int i = 0; i < 50 && delivered < 2; ++i) delivered += udp.poll_wait(milliseconds(20));
   EXPECT_EQ(delivered, 2u);
   EXPECT_EQ(received, 2u);
   EXPECT_EQ(injector.stats().duplicated, 1u);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
 #include <vector>
 
@@ -50,7 +51,7 @@ std::vector<std::uint8_t> make_frame(const gossip::Message& msg) {
 std::size_t drain(UdpTransport& transport, std::size_t want) {
   std::size_t delivered = 0;
   for (int i = 0; i < 50 && delivered < want; ++i) {
-    delivered += transport.poll_wait(20);
+    delivered += transport.poll_wait(milliseconds(20));
   }
   return delivered;
 }
@@ -70,7 +71,7 @@ TEST(UdpTransport, LoopbackRoundTrip) {
   // Loopback delivery is near-instant; poll with a small wait budget.
   std::size_t delivered = 0;
   for (int i = 0; i < 50 && delivered == 0; ++i) {
-    delivered += transport.poll_wait(20);
+    delivered += transport.poll_wait(milliseconds(20));
   }
   ASSERT_EQ(delivered, 1u);
   ASSERT_EQ(received.size(), 1u);
@@ -79,6 +80,17 @@ TEST(UdpTransport, LoopbackRoundTrip) {
   ASSERT_NE(msg, nullptr);
   EXPECT_EQ(msg->period, 3u);
   EXPECT_EQ(msg->chunks, propose.chunks);
+}
+
+// The wait has µs resolution: a sub-millisecond timeout blocks for its full
+// length instead of truncating to a zero-ms poll that returns at once. Only
+// the lower bound is asserted, so a slow (sanitized) run cannot fail it.
+TEST(UdpTransport, SubMillisecondWaitBlocksForItsTimeout) {
+  UdpTransport transport;
+  ASSERT_TRUE(transport.add_endpoint(NodeId{0}, nullptr));
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_EQ(transport.poll_wait(microseconds(400)), 0u);
+  EXPECT_GE(std::chrono::steady_clock::now() - t0, microseconds(400));
 }
 
 TEST(UdpTransport, ManyNodesExchangeVerificationTraffic) {
@@ -101,7 +113,7 @@ TEST(UdpTransport, ManyNodesExchangeVerificationTraffic) {
   }
   std::size_t total = 0;
   for (int i = 0; i < 100 && total < kNodes * (kNodes - 1); ++i) {
-    total += transport.poll_wait(20);
+    total += transport.poll_wait(milliseconds(20));
   }
   EXPECT_EQ(total, kNodes * (kNodes - 1));
   for (const auto seen : acks_seen) {

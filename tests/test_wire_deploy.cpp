@@ -4,6 +4,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/registry.hpp"
 #include "runtime/node_host.hpp"
 #include "runtime/wire_scenario.hpp"
 
@@ -54,6 +55,22 @@ TEST(WireDeploy, LoopbackStreamReachesEveryNode) {
     EXPECT_GE(hosts[i]->engine_stats().chunks_received + 1, emitted)
         << "node " << i << " received "
         << hosts[i]->engine_stats().chunks_received << "/" << emitted;
+  }
+
+  // The drive loop is event-driven: every wake is owed to a due timer, a
+  // datagram, stream end or drain end. A busy-waiting loop wakes thousands
+  // of times per host here; a count bound, unlike a CPU-time bound, holds
+  // under sanitizers too.
+  for (std::uint32_t i = 0; i < config.nodes; ++i) {
+    obs::Registry reg;
+    hosts[i]->collect_metrics(reg);
+    const auto wakeups = reg.counter("loop_wakeups");
+    const auto timers = reg.counter("timers_fired");
+    const auto datagrams = reg.counter("messages_received");
+    EXPECT_GT(wakeups, 0u) << "node " << i;
+    EXPECT_LE(wakeups, 2 * (timers + datagrams) + 16)
+        << "node " << i << ": " << wakeups << " wakeups for " << timers
+        << " timers and " << datagrams << " datagrams";
   }
 
   // The wire-vs-model identity on live traffic: serves cost model + 10 B,
