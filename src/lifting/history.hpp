@@ -2,10 +2,11 @@
 #define LIFTING_LIFTING_HISTORY_HPP
 
 #include <algorithm>
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "common/ring_log.hpp"
-#include "common/small_vector.hpp"
 #include "common/time.hpp"
 #include "common/types.hpp"
 #include "gossip/message.hpp"
@@ -22,73 +23,98 @@
 ///  * ConfirmAskerLog — who asked this node to confirm whose proposals;
 ///    polled by auditors to reconstruct F'_h (§5.3).
 ///
-/// Storage is a flat RingLog per log (entries period/time-ordered, oldest
-/// at the front): the window only ever evicts from the front and appends at
-/// the back, and ring slots recycle their SmallVector payload capacity, so
-/// a steady-state node records its whole history without heap allocation.
-/// These deques were the last per-element allocators of a warm planetlab
-/// run — see DESIGN.md §9.
+/// Storage is flat (DESIGN.md §9). Each log keeps a RingLog of small
+/// fixed-size keys (time, proposer or period, run lengths), entries
+/// time-ordered with the oldest at the front, and the proposals' variable
+/// parts live back to back in RingLogs of ids: entry i's chunk ids are the
+/// run that follows entry i-1's. An entry costs a 24-byte key plus 4 bytes
+/// per id, the witness scans walk keys only, and the window only ever
+/// evicts from the front and appends at the back, so once the rings have
+/// grown to the window's high water a node records its whole history
+/// without heap allocation. These rings hold plain keys and ids, so
+/// RingLog's slot-payload recycling contract does not concern them.
 
 namespace lifting {
+
+namespace detail {
+
+/// Copies the id run [pos, pos + n) of `ring` onto the end of `out`.
+template <typename T, typename Out>
+void append_run(const RingLog<T>& ring, std::size_t pos, std::size_t n,
+                Out& out) {
+  const auto [head, tail] = ring.spans(pos, n);
+  out.reserve(out.size() + n);
+  out.insert(out.end(), head.begin(), head.end());
+  out.insert(out.end(), tail.begin(), tail.end());
+}
+
+}  // namespace detail
 
 class SentProposalHistory {
  public:
   void record(TimePoint at, PeriodIndex period,
               const std::vector<NodeId>& partners,
               const gossip::ChunkIdList& chunks) {
-    Entry& e = entries_.push_slot();
-    e.at = at;
-    e.period = period;
-    e.partners.assign(partners.begin(), partners.end());
-    e.chunks.assign(chunks.begin(), chunks.end());
+    keys_.push_slot() = Key{at, period,
+                            static_cast<std::uint32_t>(partners.size()),
+                            static_cast<std::uint32_t>(chunks.size())};
+    partners_.append(partners.begin(), partners.size());
+    chunks_.append(chunks.begin(), chunks.size());
   }
 
   void prune(TimePoint cutoff) {
-    while (!entries_.empty() && entries_.front().at < cutoff) {
-      entries_.pop_front();
+    while (!keys_.empty() && keys_.front().at < cutoff) {
+      partners_.pop_front(keys_.front().partners);
+      chunks_.pop_front(keys_.front().chunks);
+      keys_.pop_front();
     }
   }
 
-  [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return keys_.size(); }
 
   /// The audit-visible records, oldest first. Materializes fresh vectors —
   /// this is the audit-reply path, not a steady-state one.
   [[nodiscard]] std::vector<gossip::HistoryProposalRecord> snapshot() const {
-    std::vector<gossip::HistoryProposalRecord> out;
-    out.reserve(entries_.size());
-    for (std::size_t i = 0; i < entries_.size(); ++i) {
-      const Entry& e = entries_[i];
-      out.push_back(gossip::HistoryProposalRecord{
-          e.period, std::vector<NodeId>(e.partners.begin(), e.partners.end()),
-          e.chunks});
+    std::vector<gossip::HistoryProposalRecord> out(keys_.size());
+    std::size_t partner_pos = 0;
+    std::size_t chunk_pos = 0;
+    for (std::size_t i = 0; i < keys_.size(); ++i) {
+      const Key& k = keys_[i];
+      out[i].period = k.period;
+      detail::append_run(partners_, partner_pos, k.partners, out[i].partners);
+      detail::append_run(chunks_, chunk_pos, k.chunks, out[i].chunks);
+      partner_pos += k.partners;
+      chunk_pos += k.chunks;
     }
     return out;
   }
 
  private:
-  struct Entry {
+  struct Key {
     TimePoint at{};
     PeriodIndex period = 0;
-    SmallVector<NodeId, 8> partners;  // |partners| = fanout (7 on planetlab)
-    gossip::ChunkIdList chunks;
+    std::uint32_t partners = 0;  // run length in partners_
+    std::uint32_t chunks = 0;    // run length in chunks_
   };
-  RingLog<Entry> entries_;
+  static_assert(sizeof(Key) == 24);
+  RingLog<Key> keys_;
+  RingLog<NodeId> partners_;
+  RingLog<ChunkId> chunks_;
 };
 
 class ReceivedProposalLog {
  public:
   void record(TimePoint at, NodeId from, PeriodIndex period,
               const gossip::ChunkIdList& chunks) {
-    Entry& e = entries_.push_slot();
-    e.at = at;
-    e.from = from;
-    e.period = period;
-    e.chunks.assign(chunks.begin(), chunks.end());
+    keys_.push_slot() =
+        Key{at, from, period, static_cast<std::uint32_t>(chunks.size())};
+    chunks_.append(chunks.begin(), chunks.size());
   }
 
   void prune(TimePoint cutoff) {
-    while (!entries_.empty() && entries_.front().at < cutoff) {
-      entries_.pop_front();
+    while (!keys_.empty() && keys_.front().at < cutoff) {
+      chunks_.pop_front(keys_.front().chunks);
+      keys_.pop_front();
     }
   }
 
@@ -97,9 +123,9 @@ class ReceivedProposalLog {
   /// and must not be re-recorded (the duplicate-delivery idempotence
   /// contract, tests/test_faults.cpp).
   [[nodiscard]] bool has(NodeId from, PeriodIndex period) const {
-    for (std::size_t i = entries_.size(); i-- > 0;) {
-      const Entry& e = entries_[i];
-      if (e.from == from && e.period == period) return true;
+    for (std::size_t i = keys_.size(); i-- > 0;) {
+      const Key& k = keys_[i];
+      if (k.from == from && k.period == period) return true;
     }
     return false;
   }
@@ -110,33 +136,35 @@ class ReceivedProposalLog {
   [[nodiscard]] bool confirms(NodeId subject,
                               const gossip::ChunkIdList& chunks,
                               TimePoint since) const {
-    for (std::size_t i = entries_.size(); i-- > 0;) {
-      const Entry& e = entries_[i];
-      if (e.at < since) break;  // entries are time-ordered
-      if (e.from != subject) continue;
-      bool all = true;
-      for (const auto c : chunks) {
-        if (std::find(e.chunks.begin(), e.chunks.end(), c) ==
-            e.chunks.end()) {
-          all = false;
-          break;
-        }
-      }
+    std::size_t run_end = chunks_.size();
+    for (std::size_t i = keys_.size(); i-- > 0;) {
+      const Key& k = keys_[i];
+      if (k.at < since) break;  // entries are time-ordered
+      run_end -= k.chunks;
+      if (k.from != subject) continue;
+      const auto [head, tail] = chunks_.spans(run_end, k.chunks);
+      const bool all =
+          std::all_of(chunks.begin(), chunks.end(), [&](ChunkId c) {
+            return std::find(head.begin(), head.end(), c) != head.end() ||
+                   std::find(tail.begin(), tail.end(), c) != tail.end();
+          });
       if (all) return true;
     }
     return false;
   }
 
-  [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return keys_.size(); }
 
  private:
-  struct Entry {
+  struct Key {
     TimePoint at{};
     NodeId from{};
     PeriodIndex period = 0;
-    gossip::ChunkIdList chunks;
+    std::uint32_t chunks = 0;  // run length in chunks_
   };
-  RingLog<Entry> entries_;
+  static_assert(sizeof(Key) == 24);
+  RingLog<Key> keys_;
+  RingLog<ChunkId> chunks_;
 };
 
 class ConfirmAskerLog {

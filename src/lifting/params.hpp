@@ -129,9 +129,10 @@ struct LiftingParams {
   /// How long the per-node accountability logs actually retain entries.
   /// zero (the default) means the full audit window `history_window` —
   /// required whenever audits run. Deployments that never audit (the
-  /// million-node scale benches) shrink it to the confirm window, cutting
-  /// the dominant per-node allocation ~16x with identical confirm/poll
-  /// answers. Must cover at least kConfirmWindowPeriods + 1 periods.
+  /// million-node scale benches) shrink it to the confirm window, so the
+  /// proposal logs hold a few periods instead of n_h, with identical
+  /// confirm/poll answers. Must cover at least kConfirmWindowPeriods + 1
+  /// periods.
   Duration history_retention = Duration::zero();
 
   /// n_h = h / Tg (§5: the number of gossip periods covered by the history).

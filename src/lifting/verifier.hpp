@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/small_vector.hpp"
 #include "common/time.hpp"
 #include "common/types.hpp"
 #include "gossip/message.hpp"
@@ -157,8 +158,9 @@ class CrossChecker {
     /// Witnesses whose testimony was counted. One vote per witness: a
     /// transport-duplicated response must not fill the round's quota and
     /// crowd out a real witness (duplicate-delivery idempotence,
-    /// tests/test_faults.cpp).
-    std::vector<NodeId> responded;
+    /// tests/test_faults.cpp). A round has at most fanout witnesses (7 on
+    /// planetlab), so the list stays inline.
+    SmallVector<NodeId, 8> responded;
     [[nodiscard]] std::pair<NodeId, PeriodIndex> key() const noexcept {
       return {subject, subject_period};
     }
@@ -191,7 +193,7 @@ class CrossChecker {
   /// kFanoutDecrease (each ack asserts ONE propose phase's partner set).
   /// Sorted flat vector; pruned against the advancing period horizon so it
   /// stays bounded by the in-flight window.
-  std::vector<std::pair<NodeId, PeriodIndex>> fanout_checked_;
+  RecycledVector<std::pair<NodeId, PeriodIndex>> fanout_checked_;
   std::uint64_t generation_ = 0;
   std::uint64_t rounds_started_ = 0;
 };

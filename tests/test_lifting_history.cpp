@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <deque>
 #include <vector>
 
 #include "common/ring_log.hpp"
+#include "common/rng.hpp"
 #include "lifting/history.hpp"
 
 namespace lifting {
@@ -169,6 +173,154 @@ TEST(ConfirmAskerLog, PruneDropsOldAskers) {
   const auto askers = log.askers_about(NodeId{5});
   ASSERT_EQ(askers.size(), 1u);
   EXPECT_EQ(askers[0], NodeId{2});
+}
+
+TEST(ReceivedProposalLog, HasFindsLoggedProposalsOnly) {
+  ReceivedProposalLog log;
+  log.record(kSimEpoch + seconds(1.0), NodeId{7}, 3, {ChunkId{1}});
+  log.record(kSimEpoch + seconds(2.0), NodeId{8}, 3, {});
+  EXPECT_TRUE(log.has(NodeId{7}, 3));
+  EXPECT_TRUE(log.has(NodeId{8}, 3));  // an empty proposal still counts
+  EXPECT_FALSE(log.has(NodeId{7}, 4));  // right proposer, other period
+  EXPECT_FALSE(log.has(NodeId{9}, 3));  // right period, other proposer
+  log.prune(kSimEpoch + seconds(1.5));
+  EXPECT_FALSE(log.has(NodeId{7}, 3));
+  EXPECT_TRUE(log.has(NodeId{8}, 3));
+}
+
+TEST(ReceivedProposalLog, HasStaysExactAfterIdRingWraps) {
+  // 40 ids per proposal and a 4-entry window: the id ring wraps every few
+  // records, so the surviving keys' runs straddle its physical end.
+  ReceivedProposalLog log;
+  gossip::ChunkIdList ids;
+  for (std::uint32_t i = 0; i < 40; ++i) ids.push_back(ChunkId{i});
+  for (PeriodIndex p = 0; p < 100; ++p) {
+    const TimePoint now = kSimEpoch + seconds(static_cast<double>(p));
+    log.record(now, NodeId{p % 3}, p, ids);
+    log.prune(now - seconds(3.0));
+  }
+  EXPECT_EQ(log.size(), 4u);
+  for (PeriodIndex p = 96; p < 100; ++p) {
+    EXPECT_TRUE(log.has(NodeId{p % 3}, p));
+  }
+  EXPECT_FALSE(log.has(NodeId{95 % 3}, 95));
+  EXPECT_FALSE(log.has(NodeId{(99 % 3) + 1}, 99));
+  EXPECT_TRUE(log.confirms(NodeId{99 % 3}, {ChunkId{0}, ChunkId{39}},
+                           kSimEpoch));
+}
+
+TEST(ReceivedProposalLog, MatchesNaiveReferenceAcrossIdRingWraps) {
+  // Runs of 1, 28 and 40 ids (40 is past ChunkIdList's 32-id inline
+  // capacity), pruned to a sliding window: thousands of ids flow through a
+  // ring a few hundred ids large, wrapping it many times. Every answer
+  // must match a log that stores each proposal whole.
+  struct Ref {
+    TimePoint at;
+    NodeId from;
+    PeriodIndex period;
+    gossip::ChunkIdList chunks;
+  };
+  std::deque<Ref> ref;
+  ReceivedProposalLog log;
+  Pcg32 rng(42, 7);
+  constexpr std::uint32_t kRuns[] = {1, 28, 40};
+  std::uint32_t next_chunk = 0;
+  for (PeriodIndex p = 0; p < 600; ++p) {
+    const TimePoint now = kSimEpoch + milliseconds(100) * p;
+    gossip::ChunkIdList chunks;
+    for (std::uint32_t i = 0; i < kRuns[p % 3]; ++i) {
+      chunks.push_back(ChunkId{next_chunk++});
+    }
+    const NodeId from{rng.below(5)};
+    log.record(now, from, p / 2, chunks);
+    ref.push_back(Ref{now, from, p / 2, chunks});
+    if (p % 4 == 3) {  // prune in bursts so several entries leave at once
+      const TimePoint cutoff = now - milliseconds(1000);
+      log.prune(cutoff);
+      while (!ref.empty() && ref.front().at < cutoff) ref.pop_front();
+    }
+    ASSERT_EQ(log.size(), ref.size());
+
+    const NodeId subject{rng.below(5)};
+    const PeriodIndex period =
+        p / 2 - std::min<PeriodIndex>(p / 2, rng.below(8));
+    const bool want_has =
+        std::any_of(ref.begin(), ref.end(), [&](const Ref& r) {
+          return r.from == subject && r.period == period;
+        });
+    ASSERT_EQ(log.has(subject, period), want_has) << "p=" << p;
+
+    // Ids are unique, so a query hits only when one proposal of `subject`
+    // holds all of it: a run of neighbouring ids, often split by the wrap.
+    gossip::ChunkIdList query;
+    const std::uint32_t first =
+        next_chunk - 1 - rng.below(std::min(next_chunk, 300u));
+    const std::uint32_t q = rng.below(4);
+    for (std::uint32_t i = 0; i < q; ++i) {
+      query.push_back(ChunkId{first + i * rng.below(3)});
+    }
+    const TimePoint since = now - milliseconds(100) * rng.below(12);
+    const bool want_confirm =
+        std::any_of(ref.begin(), ref.end(), [&](const Ref& r) {
+          if (r.at < since || r.from != subject) return false;
+          return std::all_of(query.begin(), query.end(), [&](ChunkId c) {
+            return std::find(r.chunks.begin(), r.chunks.end(), c) !=
+                   r.chunks.end();
+          });
+        });
+    ASSERT_EQ(log.confirms(subject, query, since), want_confirm) << "p=" << p;
+  }
+}
+
+TEST(SentProposalHistory, SnapshotRebuildsLongRuns) {
+  // 9 partners and 40 chunks: the rebuilt ChunkIdList spills past its
+  // 32-id inline capacity, and the key's partner run is longer than the
+  // planetlab fanout.
+  SentProposalHistory history;
+  std::vector<NodeId> partners;
+  for (std::uint32_t i = 0; i < 9; ++i) partners.push_back(NodeId{100 + i});
+  gossip::ChunkIdList chunks;
+  for (std::uint32_t i = 0; i < 40; ++i) chunks.push_back(ChunkId{i * 3});
+  history.record(kSimEpoch + seconds(1.0), 4, {NodeId{1}, NodeId{2}},
+                 {ChunkId{5}});
+  history.record(kSimEpoch + seconds(2.0), 5, partners, chunks);
+  history.record(kSimEpoch + seconds(3.0), 6, {}, {});
+  const auto snap = history.snapshot();
+  ASSERT_EQ(snap.size(), 3u);
+  EXPECT_EQ(snap[0].partners, (std::vector<NodeId>{NodeId{1}, NodeId{2}}));
+  EXPECT_EQ(snap[0].chunks, gossip::ChunkIdList{ChunkId{5}});
+  EXPECT_EQ(snap[1].period, 5u);
+  EXPECT_EQ(snap[1].partners, partners);
+  EXPECT_EQ(snap[1].chunks, chunks);
+  EXPECT_TRUE(snap[2].partners.empty());
+  EXPECT_TRUE(snap[2].chunks.empty());
+  history.prune(kSimEpoch + seconds(1.5));
+  const auto pruned = history.snapshot();
+  ASSERT_EQ(pruned.size(), 2u);
+  EXPECT_EQ(pruned[0].partners, partners);
+  EXPECT_EQ(pruned[0].chunks, chunks);
+}
+
+TEST(RingLog, AppendAndPopRunsAcrossTheWrap) {
+  RingLog<int> ring;
+  const int run[] = {1, 2, 3, 4, 5};
+  ring.append(run, 5);  // capacity 8
+  ring.pop_front(4);
+  ring.append(run, 5);  // live [5, 1..5], physically split at the end
+  ASSERT_EQ(ring.size(), 6u);
+  EXPECT_EQ(ring.capacity(), 8u);
+  const auto [head, tail] = ring.spans(1, 5);
+  EXPECT_EQ(head.size() + tail.size(), 5u);
+  EXPECT_FALSE(tail.empty());
+  std::vector<int> joined(head.begin(), head.end());
+  joined.insert(joined.end(), tail.begin(), tail.end());
+  EXPECT_EQ(joined, std::vector<int>(run, run + 5));
+  ring.append(run, 5);  // grows past 8, linearizing the live entries
+  ASSERT_EQ(ring.size(), 11u);
+  EXPECT_EQ(ring.capacity(), 16u);
+  EXPECT_EQ(ring.front(), 5);
+  EXPECT_EQ(ring[1], 1);
+  EXPECT_EQ(ring.back(), 5);
 }
 
 }  // namespace
