@@ -39,7 +39,7 @@ int main() {
     Capture cap;
     Pcg32 rng{1};
     CrossChecker cc(sim, params, NodeId{0}, rng, cap.fn(),
-                    [](NodeId, gossip::Message) {});
+                    [](std::span<const NodeId>, const gossip::Message&) {});
     cc.on_chunks_served(NodeId{1}, 1, {ChunkId{1}});
     gossip::AckMsg ack{2, {ChunkId{1}},
                        {NodeId{2}, NodeId{3}, NodeId{4}, NodeId{5}, NodeId{6}}};
@@ -60,7 +60,7 @@ int main() {
     Capture cap;
     Pcg32 rng{2};
     CrossChecker cc(sim, params, NodeId{0}, rng, cap.fn(),
-                    [](NodeId, gossip::Message) {});
+                    [](std::span<const NodeId>, const gossip::Message&) {});
     cc.on_chunks_served(NodeId{1}, 1, {ChunkId{1}});
     gossip::AckMsg ack{2, {ChunkId{1}},
                        {NodeId{2}, NodeId{3}, NodeId{4}, NodeId{5}, NodeId{6},
@@ -105,7 +105,7 @@ int main() {
     Capture cap;
     Pcg32 rng{3};
     CrossChecker cc(sim, params, NodeId{0}, rng, cap.fn(),
-                    [](NodeId, gossip::Message) {});
+                    [](std::span<const NodeId>, const gossip::Message&) {});
     cc.on_chunks_served(NodeId{1}, 1, {ChunkId{1}});
     sim.run();
     table.add_row({"no acknowledgment", "f = 7", TextTable::num(cap.total, 1)});

@@ -116,4 +116,14 @@ void FaultInjector::send(NodeId from, NodeId to, sim::Channel channel,
   inner_.send(from, to, channel, bytes, std::move(message));
 }
 
+void FaultInjector::send_many(NodeId from, std::span<const NodeId> to,
+                              sim::Channel channel, std::size_t bytes,
+                              const gossip::Message& message) {
+  if (channel == sim::Channel::kReliable || plan_.empty()) {
+    inner_.send_many(from, to, channel, bytes, message);
+    return;
+  }
+  Transport::send_many(from, to, channel, bytes, message);
+}
+
 }  // namespace lifting::faults

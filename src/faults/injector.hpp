@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -74,6 +75,13 @@ class FaultInjector final : public net::Transport {
 
   void send(NodeId from, NodeId to, sim::Channel channel, std::size_t bytes,
             gossip::Message message) override;
+
+  /// Forwards the fan-out whole when the plan cannot touch it (empty plan
+  /// or reliable channel); otherwise applies the plan per destination, in
+  /// list order, exactly as a loop of send() would.
+  void send_many(NodeId from, std::span<const NodeId> to,
+                 sim::Channel channel, std::size_t bytes,
+                 const gossip::Message& message) override;
 
  private:
   struct SenderState {

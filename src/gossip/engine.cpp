@@ -393,10 +393,8 @@ void Engine::propose_phase() {
         rec.chunks.assign(proposal.begin(), proposal.end());
         rec.partners.assign(partners.begin(), partners.end());
         rec.served.clear();  // recycled slot: forget the old period's serves
-        for (const auto partner : partners) {
-          mailer_.send(self_, partner, sim::Channel::kDatagram,
-                       ProposeMsg{period_, proposal});
-        }
+        mailer_.send_many(self_, partners, sim::Channel::kDatagram,
+                          ProposeMsg{period_, proposal});
         ++stats_.proposals_sent;
         if (trace_ != nullptr) {
           trace_->record(obs::EventKind::kProposeSent, self_, self_, period_,

@@ -3,6 +3,7 @@
 
 #include <array>
 #include <optional>
+#include <span>
 #include <string>
 #include <variant>
 
@@ -51,21 +52,19 @@ class Mailer {
   }
 
   void send(NodeId from, NodeId to, sim::Channel channel, Message message) {
-    const bool audit_kind = message.index() >= kAuditKindFirst;
-    const std::size_t bytes = datagram_audit_pricing_ && audit_kind
-                                  ? datagram_wire_size(message)
-                                  : wire_size(message);
-    if (metrics_ != nullptr) {
-      auto& kind_counters = counters_[message.index()];
-      if (kind_counters.count == nullptr) {
-        const std::string kind = message_kind(message);
-        kind_counters.count = &metrics_->counter("sent." + kind + ".count");
-        kind_counters.bytes = &metrics_->counter("sent." + kind + ".bytes");
-      }
-      kind_counters.count->add(1);
-      kind_counters.bytes->add(bytes);
-    }
+    const std::size_t bytes = price(message);
+    count(message, 1, bytes);
     transport_.send(from, to, channel, bytes, std::move(message));
+  }
+
+  /// Sends one `message` to each of `to` (in order), accounted as that
+  /// many single sends. An empty list sends and registers nothing.
+  void send_many(NodeId from, std::span<const NodeId> to,
+                 sim::Channel channel, const Message& message) {
+    if (to.empty()) return;
+    const std::size_t bytes = price(message);
+    count(message, to.size(), bytes);
+    transport_.send_many(from, to, channel, bytes, message);
   }
 
   [[nodiscard]] net::Transport& transport() noexcept { return transport_; }
@@ -76,6 +75,24 @@ class Mailer {
     sim::Counter* count = nullptr;
     sim::Counter* bytes = nullptr;
   };
+
+  [[nodiscard]] std::size_t price(const Message& message) const {
+    const bool audit_kind = message.index() >= kAuditKindFirst;
+    return datagram_audit_pricing_ && audit_kind ? datagram_wire_size(message)
+                                                 : wire_size(message);
+  }
+
+  void count(const Message& message, std::size_t sends, std::size_t bytes) {
+    if (metrics_ == nullptr) return;
+    auto& kind_counters = counters_[message.index()];
+    if (kind_counters.count == nullptr) {
+      const std::string kind = message_kind(message);
+      kind_counters.count = &metrics_->counter("sent." + kind + ".count");
+      kind_counters.bytes = &metrics_->counter("sent." + kind + ".bytes");
+    }
+    kind_counters.count->add(sends);
+    kind_counters.bytes->add(sends * bytes);
+  }
 
   // Declared before transport_ so the simulator constructor can bind the
   // reference to the engaged optional.

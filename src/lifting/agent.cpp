@@ -53,8 +53,8 @@ Agent::Agent(sim::Simulator& sim, gossip::Mailer& mailer,
           [this](NodeId t, double v, gossip::BlameReason r) {
             emit_blame(t, v, r);
           },
-          [this](NodeId to, gossip::Message m) {
-            send_datagram(to, std::move(m));
+          [this](std::span<const NodeId> to, const gossip::Message& m) {
+            mailer_.send_many(self_, to, sim::Channel::kDatagram, m);
           }),
       auditor_(
           sim, params_, self,
@@ -67,13 +67,8 @@ Agent::Agent(sim::Simulator& sim, gossip::Mailer& mailer,
           [this](NodeId target) {
             // Entropy-based expulsion is direct (§5.3): commit to the
             // subject's managers without the score-vote round.
-            for (const auto manager : managers_for(target)) {
-              if (manager == self_) {
-                handle_expel_commit(gossip::ExpelCommitMsg{target, true});
-              } else {
-                send_datagram(manager, gossip::ExpelCommitMsg{target, true});
-              }
-            }
+            const gossip::ExpelCommitMsg commit{target, true};
+            to_managers(target, commit, [&] { handle_expel_commit(commit); });
           },
           [this](const AuditReport& report) {
             if (trace_ != nullptr) {
@@ -202,17 +197,25 @@ void Agent::emit_blame(NodeId target, double value,
   if (hooks_.on_blame_emitted) {
     hooks_.on_blame_emitted(self_, target, value, reason);
   }
-  for (const auto manager : managers_for(target)) {
-    if (manager == self_) {
-      handle_blame(self_, gossip::BlameMsg{target, value, reason});
-    } else {
-      send_datagram(manager, gossip::BlameMsg{target, value, reason});
-    }
-  }
+  const gossip::BlameMsg blame{target, value, reason};
+  to_managers(target, blame, [&] { handle_blame(self_, blame); });
 }
 
 void Agent::send_datagram(NodeId to, gossip::Message msg) {
   mailer_.send(self_, to, sim::Channel::kDatagram, std::move(msg));
+}
+
+template <typename Local>
+void Agent::to_managers(NodeId target, const gossip::Message& msg,
+                        Local&& local) {
+  const auto managers = managers_for(target);
+  const auto at = static_cast<std::size_t>(
+      std::find(managers.begin(), managers.end(), self_) - managers.begin());
+  mailer_.send_many(self_, managers.first(at), sim::Channel::kDatagram, msg);
+  if (at == managers.size()) return;
+  local();
+  mailer_.send_many(self_, managers.subspan(at + 1), sim::Channel::kDatagram,
+                    msg);
 }
 
 // --------------------------------------- reliable-UDP audit channel
@@ -543,15 +546,11 @@ void Agent::begin_score_read(NodeId target, ScoreFeedbackFn probe) {
   }
   score_reads_.emplace(
       query_id, PendingScoreRead{target, {}, {}, false, std::move(probe)});
-  for (const auto manager : managers_for(target)) {
-    if (manager == self_) {
-      auto& read = score_reads_.at(query_id);
-      read.replies.push_back(managers_.normalized_score(target, sim_.now()));
-      read.target_already_expelled |= managers_.expelled(target);
-    } else {
-      send_datagram(manager, gossip::ScoreQueryMsg{target, query_id});
-    }
-  }
+  to_managers(target, gossip::ScoreQueryMsg{target, query_id}, [&] {
+    auto& read = score_reads_.at(query_id);
+    read.replies.push_back(managers_.normalized_score(target, sim_.now()));
+    read.target_already_expelled |= managers_.expelled(target);
+  });
   sim_.schedule_after(params_.score_reply_timeout,
                       [this, query_id] { finish_score_read(query_id); });
 }
@@ -613,19 +612,15 @@ void Agent::finish_score_read(std::uint32_t query_id) {
   auto& vote = expel_votes_[read.target];
   vote = PendingExpelVote{};
   vote.total_managers = managers_for(read.target).size();
-  for (const auto manager : managers_for(read.target)) {
-    if (manager == self_) {
-      const bool agree = managers_.normalized_score(read.target, sim_.now()) <
-                         params_.eta * (1.0 - params_.expel_slack);
-      if (trace_ != nullptr) {
-        trace_->record(obs::EventKind::kExpelVote, self_, read.target, 0, 0.0,
-                       agree ? 1 : 0);
-      }
-      if (agree) ++vote.yes;
-    } else {
-      send_datagram(manager, gossip::ExpelRequestMsg{read.target, score});
+  to_managers(read.target, gossip::ExpelRequestMsg{read.target, score}, [&] {
+    const bool agree = managers_.normalized_score(read.target, sim_.now()) <
+                       params_.eta * (1.0 - params_.expel_slack);
+    if (trace_ != nullptr) {
+      trace_->record(obs::EventKind::kExpelVote, self_, read.target, 0, 0.0,
+                     agree ? 1 : 0);
     }
-  }
+    if (agree) ++vote.yes;
+  });
   sim_.schedule_after(params_.expel_vote_timeout, [this, t = read.target] {
     finish_expel_vote(t);
   });
@@ -667,13 +662,8 @@ void Agent::finish_expel_vote(NodeId target) {
     expel_requested_.erase(target);  // allow a later retry
     return;
   }
-  for (const auto manager : managers_for(target)) {
-    if (manager == self_) {
-      handle_expel_commit(gossip::ExpelCommitMsg{target, false});
-    } else {
-      send_datagram(manager, gossip::ExpelCommitMsg{target, false});
-    }
-  }
+  const gossip::ExpelCommitMsg commit{target, false};
+  to_managers(target, commit, [&] { handle_expel_commit(commit); });
   expel_votes_.erase(target);
   // The request latch only serializes rounds — it must not outlive this
   // one. A committed expulsion normally takes effect (the target drops out

@@ -193,6 +193,12 @@ class Agent final : public gossip::EngineObserver {
   void emit_blame(NodeId target, double value, gossip::BlameReason reason);
   void send_datagram(NodeId to, gossip::Message msg);
   void send_reliable(NodeId to, gossip::Message msg);
+  /// Sends `msg` (datagram) to every manager of `target` in manager order;
+  /// when this node is one of them, `local()` runs at its place instead —
+  /// the managers before it are sent to first, those after it next — so
+  /// event, rng and trace order match a per-manager loop exactly.
+  template <typename Local>
+  void to_managers(NodeId target, const gossip::Message& msg, Local&& local);
   [[nodiscard]] std::span<const NodeId> managers_for(NodeId target);
   [[nodiscard]] bool is_manager_of(NodeId target);
   void handle_confirm_request(NodeId from, const gossip::ConfirmReqMsg& msg);

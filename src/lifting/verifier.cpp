@@ -198,13 +198,13 @@ void CrossChecker::start_confirm_round(const gossip::AckMsg& ack,
   ConfirmRound round;
   round.subject = subject;
   round.subject_period = ack.period;
-  std::size_t sent = 0;
+  SmallVector<NodeId, 8> witnesses;
   for (const auto witness : ack.partners) {
-    if (witness == self_ || witness == subject) continue;
-    send_(witness, gossip::ConfirmReqMsg{subject, ack.period, chunks});
-    ++sent;
+    if (witness != self_ && witness != subject) witnesses.push_back(witness);
   }
+  const std::size_t sent = witnesses.size();
   if (sent == 0) return;
+  send_(witnesses, gossip::ConfirmReqMsg{subject, ack.period, chunks});
   round.witnesses = sent;
   rounds_.insert(it, round);
   ++rounds_started_;

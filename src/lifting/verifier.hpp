@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -36,8 +37,9 @@ namespace lifting {
 using BlameFn =
     std::function<void(NodeId target, double value, gossip::BlameReason)>;
 
-/// Sends a protocol message (datagram) from this node.
-using SendFn = std::function<void(NodeId to, gossip::Message message)>;
+/// Sends one protocol message (datagram) from this node to each of `to`.
+using SendManyFn = std::function<void(std::span<const NodeId> to,
+                                      const gossip::Message& message)>;
 
 class DirectVerifier {
  public:
@@ -104,7 +106,7 @@ class DirectVerifier {
 class CrossChecker {
  public:
   CrossChecker(sim::Simulator& sim, const LiftingParams& params, NodeId self,
-               Pcg32& rng, BlameFn blame, SendFn send)
+               Pcg32& rng, BlameFn blame, SendManyFn send)
       : sim_(sim),
         params_(params),
         self_(self),
@@ -181,7 +183,7 @@ class CrossChecker {
   NodeId self_;
   Pcg32& rng_;
   BlameFn blame_;
-  SendFn send_;
+  SendManyFn send_;
   obs::Recorder* trace_ = nullptr;
 
   /// Outstanding serve batches, sorted by (receiver, serve_period).

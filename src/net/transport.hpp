@@ -2,6 +2,7 @@
 #define LIFTING_NET_TRANSPORT_HPP
 
 #include <cstddef>
+#include <span>
 #include <utility>
 
 #include "common/types.hpp"
@@ -20,10 +21,10 @@
 ///     net::codec byte format and sends a real UDP datagram — the
 ///     deployment backend behind the lifting_node daemon.
 ///
-/// The interface deliberately mirrors sim::Network::send so the simulator
-/// path is a single virtual call away from its historical behavior: same
-/// arguments, same call order, bit-identical schedules (the determinism
-/// goldens in tests/test_determinism.cpp pin this).
+/// The interface deliberately mirrors sim::Network::send and send_many so
+/// the simulator path is a single virtual call away from its historical
+/// behavior: same arguments, same call order, bit-identical schedules (the
+/// determinism goldens in tests/test_determinism.cpp pin this).
 
 namespace lifting::net {
 
@@ -39,6 +40,16 @@ class Transport {
   /// way and the size model prices the reliable kinds with TCP framing).
   virtual void send(NodeId from, NodeId to, sim::Channel channel,
                     std::size_t bytes, gossip::Message message) = 0;
+
+  /// Submits one `message` to each of `to`, in list order — a fan-out
+  /// such as a blame to all of a target's managers. Equivalent to a loop
+  /// of send(), which is what the default does; the simulator overrides it
+  /// to share one in-flight payload among the copies.
+  virtual void send_many(NodeId from, std::span<const NodeId> to,
+                         sim::Channel channel, std::size_t bytes,
+                         const gossip::Message& message) {
+    for (const NodeId dst : to) send(from, dst, channel, bytes, message);
+  }
 };
 
 /// Simulator-backed transport: forwards verbatim to sim::Network.
@@ -50,6 +61,12 @@ class SimTransport final : public Transport {
   void send(NodeId from, NodeId to, sim::Channel channel, std::size_t bytes,
             gossip::Message message) override {
     network_.send(from, to, channel, bytes, std::move(message));
+  }
+
+  void send_many(NodeId from, std::span<const NodeId> to,
+                 sim::Channel channel, std::size_t bytes,
+                 const gossip::Message& message) override {
+    network_.send_many(from, to, channel, bytes, message);
   }
 
   [[nodiscard]] sim::Network<gossip::Message>& network() noexcept {

@@ -340,8 +340,8 @@ void Experiment::make_node(std::uint32_t i,
     if (node.agent) node.agent->set_trace(recorder_.get());
   }
 
-  network_->add_node(id, profile, [this, i](
-                                      sim::Delivery<gossip::Message>& d) {
+  using Delivery = sim::Delivery<gossip::Message>;
+  network_->add_node(id, profile, [this, i](const Delivery& d) {
     auto& target = nodes_[i];
     const auto& msg = d.payload;
     // The leading Message alternatives are the gossip kinds

@@ -3,6 +3,10 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <optional>
+#include <span>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -22,8 +26,10 @@
 /// Built for scale: endpoints live in a dense vector indexed by the
 /// contiguous NodeId values (no hashing on the per-message path), and
 /// in-flight messages are pooled — a send acquires a free Delivery slot,
-/// and the scheduled closure captures only {network, slot}, so steady-state
-/// traffic performs no heap allocation per message.
+/// and the scheduled closure captures only {network, slot, destination},
+/// so steady-state traffic performs no heap allocation per message. A
+/// fan-out (send_many: one blame to all M managers) shares one
+/// ref-counted slot among all its surviving copies.
 
 namespace lifting::sim {
 
@@ -84,9 +90,10 @@ struct Delivery {
 template <typename Payload>
 class Network {
  public:
-  /// Receive handler. The delivery is owned by the network's pool; handlers
-  /// that keep the payload must move it out.
-  using Handler = std::function<void(Delivery<Payload>&)>;
+  /// Receive handler. The delivery is owned by the network's pool and may
+  /// be shared by every destination of one send_many, so handlers see it
+  /// read-only and copy what they keep.
+  using Handler = std::function<void(const Delivery<Payload>&)>;
 
   Network(Simulator& sim, Pcg32 rng) : sim_(sim), rng_(rng) {}
 
@@ -116,6 +123,20 @@ class Network {
     ep.registered = true;
   }
 
+  /// Registers a handler written against a mutable `Delivery&`: it gets a
+  /// private copy of each delivery, since the pooled one may be shared.
+  template <typename F>
+    requires(!std::is_invocable_v<F&, const Delivery<Payload>&> &&
+             std::is_invocable_v<F&, Delivery<Payload>&>)
+  void add_node(NodeId id, LinkProfile profile, F handler) {
+    add_node(id, profile,
+             Handler{[h = std::move(handler)](
+                         const Delivery<Payload>& d) mutable {
+               Delivery<Payload> own = d;
+               h(own);
+             }});
+  }
+
   /// Replaces the receive handler (used when wiring layered components).
   void set_handler(NodeId id, Handler handler) {
     endpoint(id).handler = std::move(handler);
@@ -136,7 +157,7 @@ class Network {
 
   /// Tears an endpoint down (node left or crashed): the registration is
   /// cleared, the handler is released, and every in-flight delivery to the
-  /// id lands in the void — its pooled slot is still recycled when the
+  /// id lands in the void — it still releases its pooled slot when the
   /// delivery event fires, so teardown never leaks pool slots. The id may
   /// be re-registered later via add_node().
   void remove_node(NodeId id) {
@@ -148,10 +169,11 @@ class Network {
     ep->uplink_free = kSimEpoch;
   }
 
-  /// In-flight deliveries currently occupying pool slots. Returns to zero
-  /// once every scheduled delivery event has fired (leak check in tests).
+  /// Pool slots currently held by in-flight deliveries (one per send, one
+  /// per send_many with a surviving copy). Returns to zero once every
+  /// scheduled delivery event has fired (leak check in tests).
   [[nodiscard]] std::size_t in_flight() const noexcept {
-    return pool_.size() - free_.size();
+    return slots_ - free_.size();
   }
 
   /// Rewinds the network for a fresh run: endpoints and statistics are
@@ -165,83 +187,42 @@ class Network {
     rng_ = rng;
     nodes_.clear();
     stats_ = NetworkStats{};
-    free_.resize(pool_.size());
-    for (std::uint32_t i = 0; i < free_.size(); ++i) free_[i] = i;
+    free_.resize(slots_);
+    for (std::uint32_t i = 0; i < slots_; ++i) free_[i] = i;
   }
 
   /// Sends `payload` of `bytes` from `from` to `to` on `channel`.
   /// Datagrams may be lost or dropped; reliable messages always arrive.
   void send(NodeId from, NodeId to, Channel channel, std::size_t bytes,
             Payload payload) {
-    LIFTING_ASSERT(from != to, "node sending to itself");
-    Endpoint* src_ep = maybe_endpoint(from);
-    if (src_ep == nullptr) return;  // departed sender: nothing leaves the NIC
-    auto& src = *src_ep;
-    const Endpoint* dst_ep = maybe_endpoint(to);
-    stats_.bytes_sent += bytes;
-    if (channel == Channel::kDatagram) {
-      ++stats_.datagrams_sent;
-    } else {
-      ++stats_.reliable_sent;
-    }
-    if (!src.attached) return;
-    if (dst_ep == nullptr) {
-      // Stale destination (a departed manager/partner id held by a live
-      // node): the packet vanishes on the wire.
-      if (channel == Channel::kDatagram) ++stats_.datagrams_lost;
-      ++stats_.no_route;
-      return;
-    }
-    const auto& dst = *dst_ep;
+    Endpoint* src = maybe_endpoint(from);
+    if (src == nullptr) return;  // departed sender: nothing leaves the NIC
+    const auto deliver_at = link(*src, from, to, channel, bytes);
+    if (!deliver_at) return;
+    const std::uint32_t slot = acquire(from, channel, bytes);
+    slot_at(slot).delivery.payload = std::move(payload);
+    schedule_delivery(slot, to, *deliver_at);
+  }
 
-    // Uplink serialization: the message occupies the sender's uplink for
-    // bytes*8/capacity seconds, queued behind earlier sends. Small control
-    // packets interleave (priority lane): they pay transmission time but do
-    // not wait in the bulk queue.
-    const auto tx_time = transmission_time(bytes, src.profile);
-    TimePoint departure;
-    if (bytes <= src.profile.priority_bytes) {
-      departure = sim_.now() + tx_time;
-    } else {
-      const TimePoint start = std::max(sim_.now(), src.uplink_free);
-      const Duration backlog = start - sim_.now();
-      if (channel == Channel::kDatagram &&
-          backlog > src.profile.max_queue_delay) {
-        ++stats_.datagrams_dropped;
-        return;  // interface queue full; datagram silently dropped
+  /// Sends one `payload` to each of `to`, in list order. Each destination
+  /// passes the same link model as a send() to it — same stats, same
+  /// uplink queueing, same loss and jitter draws in the same order, same
+  /// event order — so the outcome equals a loop of send(). The surviving
+  /// copies share one pool slot, freed by the last delivery.
+  void send_many(NodeId from, std::span<const NodeId> to, Channel channel,
+                 std::size_t bytes, const Payload& payload) {
+    Endpoint* src = maybe_endpoint(from);
+    if (src == nullptr) return;
+    std::optional<std::uint32_t> slot;
+    for (const NodeId dst : to) {
+      const auto deliver_at = link(*src, from, dst, channel, bytes);
+      if (!deliver_at) continue;
+      if (!slot) {
+        slot = acquire(from, channel, bytes);
+        slot_at(*slot).delivery.payload = payload;
       }
-      src.uplink_free = start + tx_time;
-      departure = src.uplink_free;
+      schedule_delivery(*slot, dst, *deliver_at);
     }
-
-    if (channel == Channel::kDatagram) {
-      const double loss =
-          1.0 - (1.0 - src.profile.loss) * (1.0 - dst.profile.loss);
-      if (rng_.bernoulli(loss)) {
-        ++stats_.datagrams_lost;
-        return;
-      }
-    }
-
-    Duration latency = propagation_delay(src.profile, dst.profile);
-    if (channel == Channel::kReliable) {
-      // Connection setup: one extra round trip of base propagation.
-      latency += 2 * (src.profile.latency_base + dst.profile.latency_base);
-    }
-    const TimePoint deliver_at = departure + latency;
-
-    // Acquire a pooled in-flight slot; the scheduled closure captures only
-    // {this, slot}, which UniqueFunction stores inline — the whole delivery
-    // path allocates nothing in steady state.
-    const std::uint32_t slot = acquire();
-    Delivery<Payload>& d = pool_[slot];
-    d.from = from;
-    d.to = to;
-    d.channel = channel;
-    d.bytes = bytes;
-    d.sent_at = sim_.now();
-    d.payload = std::move(payload);
-    sim_.schedule_at(deliver_at, [this, slot] { deliver(slot); });
   }
 
   [[nodiscard]] const NetworkStats& stats() const noexcept { return stats_; }
@@ -277,32 +258,131 @@ class Network {
     return &nodes_[v];
   }
 
-  [[nodiscard]] std::uint32_t acquire() {
-    if (free_.empty()) {
-      pool_.emplace_back();
-      return static_cast<std::uint32_t>(pool_.size() - 1);
+  /// The link model of one message to one destination, shared by send
+  /// and send_many: counts the send, then applies the sender's uplink
+  /// queue, datagram loss and propagation delay. Returns the arrival time,
+  /// or nothing when the message does not survive.
+  [[nodiscard]] std::optional<TimePoint> link(Endpoint& src, NodeId from,
+                                              NodeId to, Channel channel,
+                                              std::size_t bytes) {
+    LIFTING_ASSERT(from != to, "node sending to itself");
+    const Endpoint* dst_ep = maybe_endpoint(to);
+    stats_.bytes_sent += bytes;
+    if (channel == Channel::kDatagram) {
+      ++stats_.datagrams_sent;
+    } else {
+      ++stats_.reliable_sent;
     }
-    const std::uint32_t slot = free_.back();
-    free_.pop_back();
+    if (!src.attached) return std::nullopt;
+    if (dst_ep == nullptr) {
+      // Stale destination (a departed manager/partner id held by a live
+      // node): the packet vanishes on the wire.
+      if (channel == Channel::kDatagram) ++stats_.datagrams_lost;
+      ++stats_.no_route;
+      return std::nullopt;
+    }
+    const auto& dst = *dst_ep;
+
+    // Uplink serialization: the message occupies the sender's uplink for
+    // bytes*8/capacity seconds, queued behind earlier sends. Small control
+    // packets interleave (priority lane): they pay transmission time but do
+    // not wait in the bulk queue.
+    const auto tx_time = transmission_time(bytes, src.profile);
+    TimePoint departure;
+    if (bytes <= src.profile.priority_bytes) {
+      departure = sim_.now() + tx_time;
+    } else {
+      const TimePoint start = std::max(sim_.now(), src.uplink_free);
+      const Duration backlog = start - sim_.now();
+      if (channel == Channel::kDatagram &&
+          backlog > src.profile.max_queue_delay) {
+        ++stats_.datagrams_dropped;
+        return std::nullopt;  // interface queue full; silently dropped
+      }
+      src.uplink_free = start + tx_time;
+      departure = src.uplink_free;
+    }
+
+    if (channel == Channel::kDatagram) {
+      const double loss =
+          1.0 - (1.0 - src.profile.loss) * (1.0 - dst.profile.loss);
+      if (rng_.bernoulli(loss)) {
+        ++stats_.datagrams_lost;
+        return std::nullopt;
+      }
+    }
+
+    Duration latency = propagation_delay(src.profile, dst.profile);
+    if (channel == Channel::kReliable) {
+      // Connection setup: one extra round trip of base propagation.
+      latency += 2 * (src.profile.latency_base + dst.profile.latency_base);
+    }
+    return departure + latency;
+  }
+
+  /// One pooled in-flight message and the number of scheduled deliveries
+  /// still pointing at it.
+  struct Slot {
+    Delivery<Payload> delivery;
+    std::uint32_t refs = 0;
+  };
+  /// Slots live in fixed-size blocks that never move, so a handler may
+  /// read its delivery in place while sends it makes grow the pool.
+  static constexpr std::uint32_t kBlockShift = 8;
+  static constexpr std::uint32_t kBlockSlots = 1U << kBlockShift;
+
+  [[nodiscard]] Slot& slot_at(std::uint32_t slot) {
+    return blocks_[slot >> kBlockShift][slot & (kBlockSlots - 1)];
+  }
+
+  /// Takes a free slot and stamps its header; the caller sets the payload.
+  [[nodiscard]] std::uint32_t acquire(NodeId from, Channel channel,
+                                      std::size_t bytes) {
+    std::uint32_t slot;
+    if (free_.empty()) {
+      if ((slots_ & (kBlockSlots - 1)) == 0) {
+        blocks_.push_back(std::make_unique<Slot[]>(kBlockSlots));
+      }
+      slot = slots_++;
+    } else {
+      slot = free_.back();
+      free_.pop_back();
+    }
+    Slot& s = slot_at(slot);
+    s.delivery.from = from;
+    s.delivery.channel = channel;
+    s.delivery.bytes = bytes;
+    s.delivery.sent_at = sim_.now();
+    s.refs = 0;
     return slot;
   }
 
-  void deliver(std::uint32_t slot) {
-    // Move the delivery out before running the handler: the handler may
-    // send (growing the pool and invalidating references into it). The
-    // slot is recycled before any drop check, so deliveries to torn-down
-    // endpoints cannot leak pool slots.
-    Delivery<Payload> d = std::move(pool_[slot]);
-    free_.push_back(slot);
-    Endpoint* dest = maybe_endpoint(d.to);
-    if (dest == nullptr || !dest->attached || !dest->handler) return;
-    if (d.channel == Channel::kDatagram) {
-      ++stats_.datagrams_delivered;
-    } else {
-      ++stats_.reliable_delivered;
+  void schedule_delivery(std::uint32_t slot, NodeId to, TimePoint at) {
+    // The closure captures {this, slot, to} (16 bytes), which
+    // UniqueFunction stores inline — the whole delivery path allocates
+    // nothing in steady state.
+    ++slot_at(slot).refs;
+    sim_.schedule_at(at, [this, slot, to] { deliver(slot, to); });
+  }
+
+  void deliver(std::uint32_t slot, NodeId to) {
+    // The handler reads the delivery in place (blocks never move) and the
+    // slot is released after it returns, so sends the handler makes cannot
+    // take it over. Deliveries to torn-down endpoints still release their
+    // reference, so teardown never leaks pool slots.
+    Slot& s = slot_at(slot);
+    Endpoint* dest = maybe_endpoint(to);
+    if (dest != nullptr && dest->attached && dest->handler) {
+      if (s.delivery.channel == Channel::kDatagram) {
+        ++stats_.datagrams_delivered;
+      } else {
+        ++stats_.reliable_delivered;
+      }
+      stats_.bytes_delivered += s.delivery.bytes;
+      s.delivery.to = to;
+      dest->handler(s.delivery);
     }
-    stats_.bytes_delivered += d.bytes;
-    dest->handler(d);
+    if (--s.refs == 0) free_.push_back(slot);
   }
 
   [[nodiscard]] static Duration transmission_time(std::size_t bytes,
@@ -326,9 +406,10 @@ class Network {
 
   Simulator& sim_;
   Pcg32 rng_;
-  std::vector<Endpoint> nodes_;        // dense, indexed by NodeId::value()
-  std::vector<Delivery<Payload>> pool_;  // in-flight message slots
-  std::vector<std::uint32_t> free_;      // recycled pool slots
+  std::vector<Endpoint> nodes_;  // dense, indexed by NodeId::value()
+  std::vector<std::unique_ptr<Slot[]>> blocks_;  // in-flight message slots
+  std::uint32_t slots_ = 0;                      // slots ever created
+  std::vector<std::uint32_t> free_;              // recycled pool slots
   NetworkStats stats_;
 };
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <vector>
 
 #include "faults/injector.hpp"
@@ -7,6 +8,7 @@
 #include "lifting/params.hpp"
 #include "net/codec.hpp"
 #include "net/udp_transport.hpp"
+#include "obs/trace.hpp"
 #include "runtime/experiment.hpp"
 #include "runtime/runner.hpp"
 #include "runtime/sweep.hpp"
@@ -237,6 +239,100 @@ TEST(Faults, InjectorDuplicatesOverTheUdpTransport) {
   EXPECT_EQ(received, 2u);
   EXPECT_EQ(injector.stats().duplicated, 1u);
   EXPECT_EQ(udp.wire_stats()[msg.index()].count, 2u);
+}
+
+TEST(Faults, SendManyUnderAPlanMatchesALoopOfSends) {
+  // Under a non-empty plan the fan-out is applied per destination, in
+  // list order, so every per-sender draw — and therefore every drop,
+  // duplicate, hold and trace record — equals a loop of send().
+  faults::FaultPlan plan;
+  plan.p_good_to_bad = 0.05;
+  plan.p_bad_to_good = 0.3;
+  plan.loss_good = 0.02;
+  plan.loss_bad = 0.6;
+  plan.duplicate_probability = 0.1;
+  plan.reorder_probability = 0.1;
+  plan.reorder_delay = milliseconds(30);
+  plan.delay_spike_probability = 0.05;
+  plan.delay_spike_min = milliseconds(10);
+  plan.delay_spike_max = milliseconds(90);
+  faults::PartitionWindow w;
+  w.start = Duration::zero();
+  w.end = seconds(2.0);
+  w.modulus = 3;
+  w.remainder = 2;  // island: ids 2, 5, 8
+  plan.partitions.push_back(w);
+
+  struct Arrival {
+    std::int64_t at_us;
+    std::uint32_t to;
+    std::uint64_t tag;
+    bool operator==(const Arrival&) const = default;
+  };
+  struct Rig {
+    explicit Rig(const faults::FaultPlan& plan) {
+      for (std::uint32_t i = 0; i < 10; ++i) {
+        net.add_node(NodeId{i}, sim::LinkProfile{},
+                     [this](const sim::Delivery<gossip::Message>& d) {
+                       const auto& b = std::get<gossip::BlameMsg>(d.payload);
+                       arrivals.push_back(
+                           {sim.now().time_since_epoch().count(),
+                            d.to.value(),
+                            static_cast<std::uint64_t>(b.value)});
+                     });
+      }
+      injector.set_plan(plan);
+      injector.set_trace(&trace);
+    }
+    sim::Simulator sim;
+    sim::Network<gossip::Message> net{sim, Pcg32{21}};
+    net::SimTransport transport{net};
+    faults::FaultInjector injector{transport, sim, /*seed=*/33};
+    obs::Recorder trace{sim, 1 << 14};
+    std::vector<Arrival> arrivals;
+  };
+  Rig fanned(plan);
+  Rig looped(plan);
+  std::vector<NodeId> to;
+  for (std::uint32_t i = 1; i < 10; ++i) to.push_back(NodeId{i});
+  for (int round = 0; round < 300; ++round) {
+    const gossip::Message msg{gossip::BlameMsg{
+        NodeId{3}, static_cast<double>(round), gossip::BlameReason::kTestimony}};
+    const auto bytes = gossip::wire_size(msg);
+    fanned.injector.send_many(NodeId{0}, to, sim::Channel::kDatagram, bytes,
+                              msg);
+    for (const NodeId dst : to) {
+      looped.injector.send(NodeId{0}, dst, sim::Channel::kDatagram, bytes,
+                           msg);
+    }
+    fanned.sim.run_until(fanned.sim.now() + milliseconds(10));
+    looped.sim.run_until(looped.sim.now() + milliseconds(10));
+  }
+  fanned.sim.run();
+  looped.sim.run();
+
+  const auto& a = fanned.injector.stats();
+  const auto& b = looped.injector.stats();
+  EXPECT_EQ(a.dropped_burst, b.dropped_burst);
+  EXPECT_EQ(a.dropped_partition, b.dropped_partition);
+  EXPECT_EQ(a.duplicated, b.duplicated);
+  EXPECT_EQ(a.delayed, b.delayed);
+  EXPECT_EQ(a.reordered, b.reordered);
+  EXPECT_GT(a.dropped_burst, 0u);
+  EXPECT_GT(a.dropped_partition, 0u);
+  EXPECT_GT(a.duplicated, 0u);
+  EXPECT_GT(a.reordered, 0u);
+  EXPECT_EQ(fanned.arrivals, looped.arrivals);
+
+  const auto& ra = fanned.trace.ring();
+  const auto& rb = looped.trace.ring();
+  ASSERT_EQ(ra.total_recorded(), rb.total_recorded());
+  ASSERT_EQ(ra.dropped(), 0u);
+  for (std::size_t i = 0; i < ra.size(); ++i) {
+    EXPECT_EQ(std::memcmp(&ra[i], &rb[i], sizeof(obs::TraceRecord)), 0)
+        << "trace record " << i;
+  }
+  EXPECT_EQ(fanned.net.in_flight(), 0u);
 }
 
 TEST(Faults, DuplicateDeliveryDoesNotDoubleCountBlameOrScores) {

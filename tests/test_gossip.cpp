@@ -374,6 +374,40 @@ TEST(Mailer, AccountsMessagesAndBytesByKind) {
   EXPECT_FALSE(is_dissemination_kind("blame"));
 }
 
+TEST(Mailer, SendManyAccountsAsThatManySingleSends) {
+  sim::Simulator sim;
+  sim::Network<Message> net(sim, Pcg32{908});
+  sim::MetricsRegistry fanned;
+  sim::MetricsRegistry single;
+  Mailer fan_mailer(net, &fanned);
+  Mailer one_mailer(net, &single);
+  for (std::uint32_t i = 0; i < 5; ++i) {
+    net.add_node(NodeId{i}, sim::LinkProfile{},
+                 [](const sim::Delivery<Message>&) {});
+  }
+  const std::vector<NodeId> to{NodeId{1}, NodeId{2}, NodeId{3}, NodeId{4}};
+  const Message blame{BlameMsg{NodeId{3}, 1.0, BlameReason::kTestimony}};
+  const Message propose{ProposeMsg{2, {ChunkId{1}, ChunkId{2}}}};
+
+  // An empty fan-out registers nothing, so the first kind actually sent
+  // keeps its place in the registry order.
+  fan_mailer.send_many(NodeId{0}, {}, sim::Channel::kDatagram, propose);
+  EXPECT_TRUE(fanned.snapshot().empty());
+
+  fan_mailer.send_many(NodeId{0}, to, sim::Channel::kDatagram, blame);
+  fan_mailer.send_many(NodeId{0}, to, sim::Channel::kDatagram, propose);
+  for (const Message& m : {blame, propose}) {
+    for (const NodeId dst : to) {
+      one_mailer.send(NodeId{0}, dst, sim::Channel::kDatagram, m);
+    }
+  }
+  EXPECT_EQ(fanned.snapshot(), single.snapshot());
+  EXPECT_EQ(fanned.value("sent.blame.count"), to.size());
+  EXPECT_EQ(fanned.value("sent.blame.bytes"), to.size() * wire_size(blame));
+  sim.run();
+  EXPECT_EQ(net.in_flight(), 0u);
+}
+
 TEST(Playback, HealthCurveDetectsLaggards) {
   std::vector<ChunkMeta> emitted;
   DeliveryLog fast;

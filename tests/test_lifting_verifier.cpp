@@ -31,9 +31,9 @@ struct VerifierFixture {
       blames.push_back({t, v, r});
     };
   }
-  SendFn send_fn() {
-    return [this](NodeId to, gossip::Message m) {
-      sent.emplace_back(to, std::move(m));
+  SendManyFn send_fn() {
+    return [this](std::span<const NodeId> to, const gossip::Message& m) {
+      for (const NodeId dst : to) sent.emplace_back(dst, m);
     };
   }
 

@@ -364,6 +364,98 @@ TEST(Network, DetachedNodeIsSilent) {
   EXPECT_EQ(received, 0);
 }
 
+// A fan-out must be indistinguishable from a loop of sends: the same link
+// model per destination (stats, uplink queue, loss and jitter draws) and
+// the same event order. Only the pool footprint differs.
+TEST(Network, SendManyMatchesSequentialSends) {
+  struct Arrival {
+    TimePoint at;
+    NodeId to;
+    std::string payload;
+    bool operator==(const Arrival&) const = default;
+  };
+  struct Rig {
+    Rig() {
+      LinkProfile p;
+      p.upload_capacity_bps = 80'000.0;  // 10 kB/s: bulk sends queue
+      p.max_queue_delay = milliseconds(500);
+      LinkProfile lossy = p;
+      lossy.loss = 0.3;
+      for (std::uint32_t i = 0; i < 7; ++i) {
+        net.add_node(NodeId{i}, i == 2 ? lossy : p,
+                     [this, i](const Delivery<std::string>& d) {
+                       EXPECT_EQ(d.to, NodeId{i});
+                       arrivals.push_back({sim.now(), d.to, d.payload});
+                     });
+      }
+      net.detach(NodeId{3});
+      net.remove_node(NodeId{4});
+    }
+    Simulator sim;
+    Network<std::string> net{sim, Pcg32{11}};
+    std::vector<Arrival> arrivals;
+  };
+  // 4: removed; 3: detached; 9: never registered; 2: lossy.
+  const std::vector<NodeId> to{NodeId{1}, NodeId{2}, NodeId{3},
+                               NodeId{4}, NodeId{5}, NodeId{9}, NodeId{6}};
+  Rig fanned;
+  Rig looped;
+  for (int round = 0; round < 60; ++round) {
+    const std::size_t bytes = round % 3 == 0 ? 2000 : 100;
+    const Channel channel =
+        round % 7 == 6 ? Channel::kReliable : Channel::kDatagram;
+    const std::string payload = "m" + std::to_string(round);
+    fanned.net.send_many(NodeId{0}, to, channel, bytes, payload);
+    for (const NodeId dst : to) {
+      looped.net.send(NodeId{0}, dst, channel, bytes, payload);
+    }
+    if (round == 0) {
+      EXPECT_EQ(fanned.net.in_flight(), 1u);  // one slot for all copies
+      EXPECT_GT(looped.net.in_flight(), 1u);
+    }
+    fanned.sim.run_until(fanned.sim.now() + milliseconds(40));
+    looped.sim.run_until(looped.sim.now() + milliseconds(40));
+  }
+  fanned.sim.run();
+  looped.sim.run();
+
+  EXPECT_EQ(fanned.arrivals, looped.arrivals);
+  const auto fields = [](const NetworkStats& s) {
+    return std::vector<std::uint64_t>{
+        s.datagrams_sent,     s.datagrams_lost,   s.datagrams_dropped,
+        s.datagrams_delivered, s.reliable_sent,   s.reliable_delivered,
+        s.bytes_sent,         s.bytes_delivered,  s.no_route};
+  };
+  EXPECT_EQ(fields(fanned.net.stats()), fields(looped.net.stats()));
+  // Every branch of the link model was exercised.
+  EXPECT_GT(fanned.net.stats().datagrams_lost, 0u);
+  EXPECT_GT(fanned.net.stats().datagrams_dropped, 0u);
+  EXPECT_GT(fanned.net.stats().no_route, 0u);
+  EXPECT_GT(fanned.net.stats().reliable_delivered, 0u);
+  EXPECT_EQ(fanned.net.in_flight(), 0u);
+  EXPECT_EQ(looped.net.in_flight(), 0u);
+}
+
+TEST(Network, MutableHandlersGetTheirOwnCopyOfASharedDelivery) {
+  // A handler written against `Delivery&` may move the payload out; the
+  // other destinations of the same fan-out must still see it whole.
+  Simulator sim;
+  Network<std::string> net(sim, Pcg32{12});
+  std::vector<std::string> got;
+  LinkProfile p;
+  p.latency_jitter = Duration::zero();
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    net.add_node(NodeId{i}, p, [&](Delivery<std::string>& d) {
+      got.push_back(std::move(d.payload));
+    });
+  }
+  const std::vector<NodeId> to{NodeId{1}, NodeId{2}};
+  net.send_many(NodeId{0}, to, Channel::kReliable, 10, "shared");
+  sim.run();
+  EXPECT_EQ(got, (std::vector<std::string>{"shared", "shared"}));
+  EXPECT_EQ(net.in_flight(), 0u);
+}
+
 // ---------------------------------------------------------------- metrics
 
 TEST(Metrics, CountersAccumulateAndSnapshot) {
