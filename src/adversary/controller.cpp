@@ -97,7 +97,7 @@ AdversaryController::Stats AdversaryController::stats(TimePoint now) {
 void AdversaryController::on_reincarnated() {
   const TimePoint now = sim_.now();
   account(now);  // close the absence interval at the rejoin boundary
-  freeriding_ = true;  // make_node reinstalled the full-throttle spec
+  freeriding_ = true;  // the rejoin reinstalled the full-throttle spec
   awaiting_rejoin_ = false;
   rejoin_attempts_ = 0;
   score_ = std::numeric_limits<double>::quiet_NaN();

@@ -2,6 +2,7 @@
 #define LIFTING_GOSSIP_ENGINE_HPP
 
 #include <cstdint>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -96,6 +97,21 @@ struct EngineStats {
   std::uint64_t chunks_served = 0;
   std::uint64_t invalid_requests = 0;  // requests not matching a proposal
   std::uint64_t duplicate_requests = 0;  // already-served (transport dup)
+
+  /// The one field list: every fold and report goes through it (the
+  /// simulator reports `engine.<name>`, the wire daemon bare `<name>`).
+  static constexpr std::pair<std::string_view, std::uint64_t EngineStats::*>
+      kFields[] = {{"chunks_received", &EngineStats::chunks_received},
+                   {"duplicate_serves", &EngineStats::duplicate_serves},
+                   {"proposals_sent", &EngineStats::proposals_sent},
+                   {"requests_sent", &EngineStats::requests_sent},
+                   {"chunks_served", &EngineStats::chunks_served},
+                   {"invalid_requests", &EngineStats::invalid_requests},
+                   {"duplicate_requests", &EngineStats::duplicate_requests}};
+  EngineStats& operator+=(const EngineStats& other) {
+    for (const auto& [name, field] : kFields) this->*field += other.*field;
+    return *this;
+  }
 };
 
 class Engine {

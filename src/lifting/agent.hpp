@@ -166,6 +166,15 @@ class Agent final : public gossip::EngineObserver {
     std::uint64_t give_ups = 0;         ///< retry budget exhausted
     std::uint64_t acks_received = 0;    ///< pending entries cancelled
     std::uint64_t dups_suppressed = 0;  ///< receiver-side duplicate drops
+
+    AuditChannelStats& operator+=(const AuditChannelStats& other) {
+      sends += other.sends;
+      retries += other.retries;
+      give_ups += other.give_ups;
+      acks_received += other.acks_received;
+      dups_suppressed += other.dups_suppressed;
+      return *this;
+    }
   };
   [[nodiscard]] const std::array<AuditChannelStats, gossip::kAuditKindCount>&
   audit_channel_stats() const noexcept {
@@ -173,13 +182,7 @@ class Agent final : public gossip::EngineObserver {
   }
   [[nodiscard]] AuditChannelStats audit_channel_totals() const noexcept {
     AuditChannelStats total;
-    for (const auto& s : audit_channel_stats_) {
-      total.sends += s.sends;
-      total.retries += s.retries;
-      total.give_ups += s.give_ups;
-      total.acks_received += s.acks_received;
-      total.dups_suppressed += s.dups_suppressed;
-    }
+    for (const auto& s : audit_channel_stats_) total += s;
     return total;
   }
   /// Duplicated blame datagrams dropped by the receiver-side window

@@ -11,19 +11,6 @@
 namespace lifting::runtime {
 
 namespace {
-/// Rng-stream key for incarnations past the first: purpose tag, node id
-/// and epoch occupy fully disjoint bit fields (56..63 / 24..55 / 0..23),
-/// so no two (purpose, node, epoch) triples can alias — the layout is
-/// load-bearing for the no-replayed-randomness guarantee and must only
-/// exist here. Epoch-1 streams keep the legacy `base + i` constants
-/// (fixed-seed goldens).
-[[nodiscard]] std::uint64_t incarnation_stream(std::uint64_t purpose,
-                                               std::uint32_t node,
-                                               std::uint32_t epoch) {
-  return splitmix64((purpose << 56U) |
-                    (static_cast<std::uint64_t>(node) << 24U) | epoch);
-}
-
 /// Draws the freerider role set (sorted; never the source) from the role
 /// stream. Shared by build() — whose weak-link picks continue the same
 /// stream — and the standalone derive_freerider_ids().
@@ -220,11 +207,11 @@ void Experiment::build() {
     const auto behavior = is_freerider(id)
                               ? resolve_behavior(config_.freerider_behavior)
                               : gossip::BehaviorSpec::honest();
-    make_node(i, behavior, weak_[i] != 0 ? config_.weak_link : config_.link);
+    spawn_node(i, behavior, weak_[i] != 0 ? config_.weak_link : config_.link);
   }
 
   // --- stream source at node 0
-  source_ = std::make_unique<gossip::StreamSource>(sim_, *nodes_[0].engine,
+  source_ = std::make_unique<gossip::StreamSource>(sim_, nodes_[0].engine(),
                                                    config_.stream);
 
   // --- adaptive adversaries (DESIGN.md §8). Guarded so the default
@@ -248,15 +235,13 @@ void Experiment::make_controller(NodeId id) {
   // for the detection statistics.
   hooks.apply_behavior = [this, v](const gossip::BehaviorSpec& spec) {
     if (is_departed(NodeId{static_cast<std::uint32_t>(v)})) return;
-    auto& node = nodes_[v];
-    node.engine->set_behavior(spec);
-    if (node.agent) node.agent->set_behavior(spec);
+    nodes_[v].set_behavior(spec);
   };
   if (config_.lifting_enabled) {
     // Manager score-feedback channel: a real §5.1 read about ourselves,
     // through whatever agent incarnation currently occupies the slot.
     hooks.probe_score = [this, id, v](adversary::ScoreEstimateFn on_done) {
-      auto* agent = nodes_[v].agent.get();
+      auto* agent = nodes_[v].agent();
       if (agent == nullptr) {
         on_done(adversary::ScoreEstimate{});
         return;
@@ -301,69 +286,23 @@ gossip::BehaviorSpec Experiment::resolve_behavior(
   return spec;
 }
 
-void Experiment::make_node(std::uint32_t i,
-                           const gossip::BehaviorSpec& behavior,
-                           const sim::LinkProfile& profile) {
+void Experiment::spawn_node(std::uint32_t i,
+                            const gossip::BehaviorSpec& behavior,
+                            const sim::LinkProfile& profile) {
   const NodeId id{i};
-  auto& node = nodes_[i];
-  // Per-node rng streams live in disjoint 2^32-wide bases so no two
-  // (purpose, node) pairs can ever collide — the old 0x1000+i / 0x2000+i
-  // scheme gave node 4096+k's agent the exact stream of node k's engine,
-  // silently correlating audit sampling with partner selection at the
-  // populations the scale benches measure. A rejoining incarnation
-  // (epoch > 1) must not replay its predecessor's randomness, so later
-  // epochs mix (base, node, epoch) through splitmix64 instead — the
-  // epoch-1 constants are untouched to keep fixed-seed goldens valid.
-  const std::uint32_t epoch = std::max(directory_.epoch_of(id), 1U);
-  const auto stream = [&](std::uint64_t legacy_base, std::uint64_t purpose) {
-    return epoch == 1 ? legacy_base + i : incarnation_stream(purpose, i, epoch);
-  };
-  if (config_.lifting_enabled) {
-    // Genesis is the node's own join instant: a joiner's score normalizes
-    // over the periods it has actually spent in the system.
-    node.agent = std::make_unique<lifting::Agent>(
-        sim_, *mailer_, directory_, id, config_.lifting, behavior,
-        derive_rng(config_.seed, stream(0xA00000000ULL, 0xA5)), config_.seed,
-        sim_.now(), hooks_, assignment_);
-  }
-  auto params = config_.gossip;
-  params.emit_acks = config_.lifting_enabled;
-  node.engine = std::make_unique<gossip::Engine>(
-      sim_, *mailer_, directory_, id, params, behavior,
-      derive_rng(config_.seed, stream(0xB00000000ULL, 0xB5)),
-      node.agent ? node.agent.get() : nullptr);
-  node.engine->reserve_stream_chunks(config_.stream.expected_chunks());
-  if (rps_) node.engine->set_partner_view(rps_.get());
-  // Late joiners and rejoiners enter an armed deployment already traced.
-  if (recorder_ != nullptr) {
-    node.engine->set_trace(recorder_.get());
-    if (node.agent) node.agent->set_trace(recorder_.get());
-  }
-
-  using Delivery = sim::Delivery<gossip::Message>;
-  network_->add_node(id, profile, [this, i](const Delivery& d) {
-    auto& target = nodes_[i];
-    const auto& msg = d.payload;
-    // The leading Message alternatives are the gossip kinds
-    // (propose/request/serve/ack — order pinned by static_asserts next
-    // to the variant); everything else is LiFTinG traffic.
-    if (msg.index() < gossip::kGossipKindCount) {
-      target.engine->handle(d.from, msg);
-    } else if (target.agent) {
-      target.agent->handle(d.from, msg);
-    }
-  });
+  nodes_[i] = NodeStack(sim_, *mailer_, directory_, config_, id, behavior,
+                        assignment_, hooks_, rps_.get(), recorder_.get());
+  network_->add_node(id, profile,
+                     [this, i](const sim::Delivery<gossip::Message>& d) {
+                       nodes_[i].handle(d.from, d.payload);
+                     });
 }
 
 void Experiment::run_until(TimePoint t) {
   if (!started_) {
     started_ = true;
     for (std::uint32_t i = 0; i < config_.nodes; ++i) {
-      const auto offset = Duration{static_cast<Duration::rep>(
-          rng_.uniform() *
-          static_cast<double>(config_.gossip.period.count()))};
-      nodes_[i].engine->start(offset);
-      if (nodes_[i].agent) nodes_[i].agent->start(offset);
+      nodes_[i].start(draw_start_offset(rng_, config_.gossip.period));
     }
     source_->start();
     // Timeline events become ordinary simulator events. Scheduling them in
@@ -387,10 +326,7 @@ void Experiment::run() { run_until(kSimEpoch + config_.duration); }
 void Experiment::wind_down() {
   wound_down_ = true;
   if (source_) source_->stop();
-  for (auto& node : nodes_) {
-    if (node.engine) node.engine->stop();
-    if (node.agent) node.agent->stop();
-  }
+  for (auto& node : nodes_) node.stop();
   // Adversary controllers reschedule themselves like agents do; stopping
   // them is what lets the drain below terminate.
   for (auto& controller : controllers_) {
@@ -452,10 +388,7 @@ void Experiment::apply_event(const ScenarioEvent& event) {
       require(v < nodes_.size(), "set_behavior on an unknown node");
       if (is_departed(event.node)) return;
       set_freerider(event.node, event.freerider);
-      const auto behavior = resolve_behavior(event.behavior);
-      auto& node = nodes_[v];
-      node.engine->set_behavior(behavior);
-      if (node.agent) node.agent->set_behavior(behavior);
+      nodes_[v].set_behavior(resolve_behavior(event.behavior));
       break;
     }
     case ScenarioEventKind::kSetLink: {
@@ -489,8 +422,8 @@ NodeId Experiment::join_node(const ScenarioEvent& event) {
   if (rps_) rps_->join(id);
   set_freerider(id, event.freerider);
   join_time_[idv] = sim_.now();
-  make_node(idv, resolve_behavior(event.behavior),
-            event.has_link ? event.link : config_.link);
+  spawn_node(idv, resolve_behavior(event.behavior),
+             event.has_link ? event.link : config_.link);
   // Materialize the joiner's manager row at a protocol-defined instant so
   // the assignment's promotion counter cannot depend on whether (and when)
   // measurement code later looks at the row.
@@ -498,12 +431,8 @@ NodeId Experiment::join_node(const ScenarioEvent& event) {
 
   // Desynchronized start, like the initial population (own stream so the
   // draw is independent of join order).
-  auto offset_rng = derive_rng(config_.seed, 0x9000000000ULL + idv);
-  const auto offset = Duration{static_cast<Duration::rep>(
-      offset_rng.uniform() *
-      static_cast<double>(config_.gossip.period.count()))};
-  nodes_[idv].engine->start(offset);
-  if (nodes_[idv].agent) nodes_[idv].agent->start(offset);
+  nodes_[idv].start(
+      NodeStack::join_offset(config_, idv, directory_.epoch_of(id)));
   // A freeriding joiner is an adversary like any base-population one: it
   // gets a controller the moment it enters (a coalition recruits it as the
   // members' views catch up).
@@ -528,9 +457,7 @@ void Experiment::retire_node(NodeId id, bool crash) {
   // pending timers and deliveries referencing them stay valid, but they
   // stop proposing, ticking and testifying. The network endpoint is torn
   // down immediately — packets to a dead host vanish.
-  auto& node = nodes_[v];
-  node.engine->stop();
-  if (node.agent) node.agent->stop();
+  nodes_[v].stop();
   network_->remove_node(id);
   // The RPS learns of the departure like the membership does: the node's
   // own view empties now, references elsewhere decay as stale entries.
@@ -589,8 +516,8 @@ void Experiment::execute_handoffs(
     bool expelled) {
   for (const auto& handoff : executed) {
     bool migrated = false;
-    auto* from = nodes_[handoff.departed.value()].agent.get();
-    auto* to = nodes_[handoff.replacement.value()].agent.get();
+    auto* from = nodes_[handoff.departed.value()].agent();
+    auto* to = nodes_[handoff.replacement.value()].agent();
     if (from != nullptr && to != nullptr) {
       // The move zeroes the departing store's row, so a row can migrate at
       // most once (tests/test_churn_resilience.cpp pins this).
@@ -645,17 +572,17 @@ void Experiment::rejoin_node(NodeId id) {
   }
   join_time_[v] = sim_.now();
 
-  // The old incarnation's objects move to the graveyard — in-flight timers
-  // and deliveries may still reference them (DESIGN.md §5 retirement
-  // contract); a fresh Engine/Agent pair with epoch-keyed rng streams and
-  // genesis = now takes the slot. Prior roles (freerider flag, weak link)
+  // The old incarnation's stack moves to the graveyard — in-flight timers
+  // and deliveries may still reference it (DESIGN.md §5 retirement
+  // contract); a fresh stack with epoch-keyed rng streams and genesis = now
+  // takes the slot. Prior roles (freerider flag, weak link)
   // are restored from the deployment's role tables.
   retired_.push_back(std::move(nodes_[v]));
   const auto behavior = is_freerider(id)
                             ? resolve_behavior(config_.freerider_behavior)
                             : gossip::BehaviorSpec::honest();
-  make_node(static_cast<std::uint32_t>(v), behavior,
-            weak_[v] != 0 ? config_.weak_link : config_.link);
+  spawn_node(static_cast<std::uint32_t>(v), behavior,
+             weak_[v] != 0 ? config_.weak_link : config_.link);
 
   // Carried store (carried_manager_store): with handoff OFF, blame
   // knowledge is conserved across the bounce by the returning manager
@@ -666,24 +593,17 @@ void Experiment::rejoin_node(NodeId id) {
   // so the rejoining node's own carried row still obeys the fresh policy.
   if (config_.lifting_enabled && !config_.manager_handoff &&
       config_.carried_manager_store) {
-    auto* old_agent = retired_.back().agent.get();
-    auto* new_agent = nodes_[v].agent.get();
+    auto* old_agent = retired_.back().agent();
+    auto* new_agent = nodes_[v].agent();
     if (old_agent != nullptr && new_agent != nullptr) {
       old_agent->manager_store().carry_into(new_agent->manager_store());
     }
   }
 
-  // Desynchronized start, keyed like make_node's streams so no incarnation
-  // replays another's offset draw.
-  auto offset_rng = derive_rng(
-      config_.seed,
-      incarnation_stream(0x95, static_cast<std::uint32_t>(v),
-                         directory_.epoch_of(id)));
-  const auto offset = Duration{static_cast<Duration::rep>(
-      offset_rng.uniform() *
-      static_cast<double>(config_.gossip.period.count()))};
-  nodes_[v].engine->start(offset);
-  if (nodes_[v].agent) nodes_[v].agent->start(offset);
+  // Desynchronized start on the incarnation's own stream, so no
+  // incarnation replays another's offset draw.
+  nodes_[v].start(
+      NodeStack::join_offset(config_, id.value(), directory_.epoch_of(id)));
 
   if (config_.lifting_enabled) {
     // The returning node becomes an eligible handoff candidate again;
@@ -698,7 +618,7 @@ void Experiment::rejoin_node(NodeId id) {
       // migrate the previous incarnation's blame to the replacement,
       // silently violating the fresh policy.
       for (const auto manager : assignment_->of(id)) {
-        auto* agent = nodes_[manager.value()].agent.get();
+        auto* agent = nodes_[manager.value()].agent();
         if (agent != nullptr) {
           agent->manager_store().begin_incarnation(id, sim_.now());
         }
@@ -707,7 +627,7 @@ void Experiment::rejoin_node(NodeId id) {
   }
   // An adversary's controller survives the incarnation change (it is the
   // node's operator, not part of the node) — resynchronize it with the
-  // full-throttle behavior make_node just reinstalled, whether the rejoin
+  // full-throttle behavior spawn_node just reinstalled, whether the rejoin
   // was its own whitewash bounce or a timeline event.
   if (auto* controller = controllers_[v].get()) {
     controller->on_reincarnated();
@@ -770,8 +690,8 @@ double Experiment::true_score(NodeId id) {
   for (const auto m : mgrs) {
     if (is_departed(m)) continue;  // a departed manager answers nothing
     double s =
-        nodes_[m.value()].agent->manager_store().normalized_score(id,
-                                                                  sim_.now());
+        nodes_[m.value()].agent()->manager_store().normalized_score(id,
+                                                                    sim_.now());
     // A colluding manager inflates its coalition's scores on the wire
     // (§5.1); this read mirrors what the managers would actually answer
     // (the same inflated value Agent::handle_score_query reports).
@@ -790,7 +710,7 @@ bool Experiment::majority_expelled(NodeId id) {
   std::size_t counted = 0;
   for (const auto m : mgrs) {
     if (is_departed(m)) continue;
-    if (nodes_[m.value()].agent->manager_store().expelled(id)) ++expelled;
+    if (nodes_[m.value()].agent()->manager_store().expelled(id)) ++expelled;
     ++counted;
   }
   return counted > 0 && expelled * 2 > counted;
@@ -971,7 +891,7 @@ std::vector<gossip::HealthPoint> Experiment::health_curve(
     if (honest_only && is_freerider(id)) continue;
     if (is_departed(id)) continue;          // log froze mid-stream
     if (join_time_[i] > warmup_end) continue;  // missed judgeable chunks
-    deliveries.push_back(&nodes_[i].engine->delivery_times());
+    deliveries.push_back(&nodes_[i].engine().delivery_times());
   }
   return gossip::health_curve(source_->emitted(), deliveries, sim_.now(),
                               lags_seconds, playback);
@@ -1037,7 +957,7 @@ void Experiment::fold_streamed_health() {
     if (chunk.emitted_at < warmup_end) continue;  // ineligible at every lag
     ++streamed_.folded_eligible;
     for (std::uint32_t v = 1; v < population(); ++v) {
-      const TimePoint* at = nodes_[v].engine->delivery_times().find(chunk.id);
+      const TimePoint* at = nodes_[v].engine().delivery_times().find(chunk.id);
       if (at == nullptr) continue;  // never arrived: on time nowhere
       auto* counters = &streamed_.on_time[static_cast<std::size_t>(v) * nlags];
       for (std::size_t j = 0; j < nlags; ++j) {
@@ -1054,11 +974,8 @@ void Experiment::fold_streamed_health() {
   const ChunkId horizon = i < emitted.size()
                               ? emitted[i].id
                               : ChunkId{emitted.back().id.value() + 1};
-  for (auto& node : nodes_) {
-    if (node.engine) node.engine->compact_delivery_log(horizon);
-  }
-  for (auto& node : retired_) {
-    if (node.engine) node.engine->compact_delivery_log(horizon);
+  for (const auto* pool : {&nodes_, &retired_}) {
+    for (const auto& node : *pool) node.engine().compact_delivery_log(horizon);
   }
 }
 
@@ -1101,7 +1018,7 @@ std::vector<gossip::HealthPoint> Experiment::streamed_health_curve() {
       ++eligible;
       for (std::size_t k = 0; k < included.size(); ++k) {
         const TimePoint* at =
-            nodes_[included[k]].engine->delivery_times().find(chunk.id);
+            nodes_[included[k]].engine().delivery_times().find(chunk.id);
         if (at != nullptr && *at <= chunk.emitted_at + lag) {
           ++tail_on_time[k];
         }
@@ -1133,10 +1050,7 @@ void Experiment::enable_trace(std::size_t capacity) {
   recorder_ = std::make_unique<obs::Recorder>(sim_, capacity);
   injector_->set_trace(recorder_.get());
   if (rps_) rps_->set_trace(recorder_.get());
-  for (auto& node : nodes_) {
-    if (node.engine) node.engine->set_trace(recorder_.get());
-    if (node.agent) node.agent->set_trace(recorder_.get());
-  }
+  for (auto& node : nodes_) node.set_trace(recorder_.get());
   for (auto& controller : controllers_) {
     if (controller) controller->set_trace(recorder_.get());
   }
@@ -1177,28 +1091,12 @@ void Experiment::collect_metrics(obs::Registry& out) const {
   out.set_counter("audit_channel.acks_received", audit.acks_received);
   out.set_counter("audit_channel.dups_suppressed", audit.dups_suppressed);
   gossip::EngineStats engines;
-  const auto fold_engines = [&engines](const std::vector<Node>& pool) {
-    for (const auto& node : pool) {
-      if (!node.engine) continue;
-      const auto& s = node.engine->stats();
-      engines.chunks_received += s.chunks_received;
-      engines.duplicate_serves += s.duplicate_serves;
-      engines.proposals_sent += s.proposals_sent;
-      engines.requests_sent += s.requests_sent;
-      engines.chunks_served += s.chunks_served;
-      engines.invalid_requests += s.invalid_requests;
-      engines.duplicate_requests += s.duplicate_requests;
-    }
-  };
-  fold_engines(nodes_);
-  fold_engines(retired_);
-  out.set_counter("engine.chunks_received", engines.chunks_received);
-  out.set_counter("engine.duplicate_serves", engines.duplicate_serves);
-  out.set_counter("engine.proposals_sent", engines.proposals_sent);
-  out.set_counter("engine.requests_sent", engines.requests_sent);
-  out.set_counter("engine.chunks_served", engines.chunks_served);
-  out.set_counter("engine.invalid_requests", engines.invalid_requests);
-  out.set_counter("engine.duplicate_requests", engines.duplicate_requests);
+  for (const auto* pool : {&nodes_, &retired_}) {
+    for (const auto& node : *pool) engines += node.engine().stats();
+  }
+  for (const auto& [name, field] : gossip::EngineStats::kFields) {
+    out.set_counter(std::string("engine.").append(name), engines.*field);
+  }
   out.set_counter("blame.ledger_emissions", ledger_.emissions());
   out.set_counter("expulsions.applied", expulsions_.size());
   out.set_counter("handoffs.executed", handoffs_.size());

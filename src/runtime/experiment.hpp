@@ -17,16 +17,17 @@
 #include "membership/directory.hpp"
 #include "membership/rps.hpp"
 #include "obs/trace.hpp"
+#include "runtime/node_stack.hpp"
 #include "runtime/scenario.hpp"
 #include "sim/metrics.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
 
 /// Builds and runs a full deployment from a ScenarioConfig: simulator,
-/// lossy network, membership, one gossip engine + LiFTinG agent per node, a
-/// stream source at node 0, expulsion propagation, and all the measurement
-/// hooks the benches and tests need (score snapshots, detection statistics,
-/// health curves, bandwidth accounting, ground-truth blame ledger).
+/// lossy network, membership, one NodeStack (gossip engine + LiFTinG agent)
+/// per node, a stream source at node 0, expulsion propagation, and all the
+/// measurement hooks the benches and tests need (score snapshots, detection
+/// statistics, health curves, bandwidth accounting, ground-truth ledger).
 
 namespace lifting::obs {
 class Registry;
@@ -234,10 +235,10 @@ class Experiment {
   }
   [[nodiscard]] NodeId source() const noexcept { return NodeId{0}; }
   [[nodiscard]] gossip::Engine& engine(NodeId id) {
-    return *nodes_.at(id.value()).engine;
+    return nodes_.at(id.value()).engine();
   }
   [[nodiscard]] lifting::Agent& agent(NodeId id) {
-    return *nodes_.at(id.value()).agent;
+    return *nodes_.at(id.value()).agent();
   }
   [[nodiscard]] bool has_agents() const noexcept {
     return config_.lifting_enabled;
@@ -457,19 +458,13 @@ class Experiment {
   /// agent (reliable-UDP mode; all zero under the modeled-TCP default).
   [[nodiscard]] lifting::Agent::AuditChannelStats audit_channel_totals() const {
     lifting::Agent::AuditChannelStats totals;
-    const auto fold = [&totals](const std::vector<Node>& pool) {
-      for (const auto& node : pool) {
-        if (!node.agent) continue;
-        const auto t = node.agent->audit_channel_totals();
-        totals.sends += t.sends;
-        totals.retries += t.retries;
-        totals.give_ups += t.give_ups;
-        totals.acks_received += t.acks_received;
-        totals.dups_suppressed += t.dups_suppressed;
+    for (const auto* pool : {&nodes_, &retired_}) {
+      for (const auto& node : *pool) {
+        if (const auto* agent = node.agent()) {
+          totals += agent->audit_channel_totals();
+        }
       }
-    };
-    fold(nodes_);
-    fold(retired_);
+    }
     return totals;
   }
   [[nodiscard]] const BlameLedger& ledger() const noexcept { return ledger_; }
@@ -487,11 +482,6 @@ class Experiment {
   }
 
  private:
-  struct Node {
-    std::unique_ptr<lifting::Agent> agent;  // null when LiFTinG is disabled
-    std::unique_ptr<gossip::Engine> engine;
-  };
-
   void build();
   /// Clears every per-run state table (keeping capacity) so build() can
   /// repopulate a reused deployment — the shared core of the constructor
@@ -520,8 +510,9 @@ class Experiment {
   /// Builds and starts the adversary controller of freerider `id` (no-op
   /// unless a strategy is configured).
   void make_controller(NodeId id);
-  void make_node(std::uint32_t i, const gossip::BehaviorSpec& behavior,
-                 const sim::LinkProfile& profile);
+  /// Builds node `i`'s stack into its slot and attaches it to the network.
+  void spawn_node(std::uint32_t i, const gossip::BehaviorSpec& behavior,
+                  const sim::LinkProfile& profile);
   void set_freerider(NodeId id, bool freeride);
   /// Grows every dense per-node table to cover ids < `n`.
   void ensure_tables(std::uint32_t n);
@@ -547,7 +538,7 @@ class Experiment {
   std::unique_ptr<net::SimTransport> transport_;
   std::unique_ptr<faults::FaultInjector> injector_;
   std::unique_ptr<gossip::Mailer> mailer_;
-  std::vector<Node> nodes_;
+  std::vector<NodeStack> nodes_;
   /// Flight recorder (enable_trace); null = disarmed, the inert default.
   std::unique_ptr<obs::Recorder> recorder_;
   std::unique_ptr<gossip::StreamSource> source_;
@@ -578,11 +569,11 @@ class Experiment {
   std::vector<RejoinRecord> rejoins_;
   std::vector<HandoffRecord> handoffs_;
   std::vector<std::uint8_t> ever_rejoined_;  // dense, any incarnation
-  /// Retired incarnations of rejoined ids: the old Engine/Agent objects
-  /// must outlive any in-flight timer that still references them, so a
-  /// rejoin moves them here instead of destroying them (same in-place
-  /// retirement contract as plain departures, DESIGN.md §5/§7).
-  std::vector<Node> retired_;
+  /// Retired incarnations of rejoined ids: the old stack's objects must
+  /// outlive any in-flight timer that still references them, so a rejoin
+  /// moves them here instead of destroying them (same in-place retirement
+  /// contract as plain departures, DESIGN.md §5/§7).
+  std::vector<NodeStack> retired_;
   std::uint32_t next_join_id_ = 0;
 
   Duration score_sample_interval_ = Duration::zero();

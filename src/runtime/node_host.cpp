@@ -36,13 +36,7 @@ NodeHost::NodeHost(const ScenarioConfig& config, NodeId self)
         // A datagram is handled at the wall-clock time it is drained, not
         // at the time the loop went to sleep: timers due by now fire first.
         advance_clock();
-        // Same routing split as Experiment::make_node: the leading variant
-        // alternatives are the gossip kinds, the rest is LiFTinG traffic.
-        if (msg.index() < gossip::kGossipKindCount) {
-          engine_->handle(from, msg);
-        } else if (agent_) {
-          agent_->handle(from, msg);
-        }
+        stack_.handle(from, msg);
       });
   require(bound, "failed to bind a loopback UDP endpoint");
 
@@ -54,24 +48,14 @@ NodeHost::NodeHost(const ScenarioConfig& config, NodeId self)
   const auto behavior =
       freerider_ ? config_.freerider_behavior : gossip::BehaviorSpec::honest();
 
-  const std::uint32_t i = self_.value();
   if (config_.lifting_enabled) {
     assignment_ = std::make_shared<lifting::ManagerAssignment>(
         config_.nodes, config_.lifting.managers, config_.seed);
-    agent_ = std::make_unique<lifting::Agent>(
-        sim_, mailer_, directory_, self_, config_.lifting, behavior,
-        derive_rng(config_.seed, 0xA00000000ULL + i), config_.seed, sim_.now(),
-        lifting::Agent::Hooks{}, assignment_);
   }
-  auto params = config_.gossip;
-  params.emit_acks = config_.lifting_enabled;
-  engine_ = std::make_unique<gossip::Engine>(
-      sim_, mailer_, directory_, self_, params, behavior,
-      derive_rng(config_.seed, 0xB00000000ULL + i),
-      agent_ ? agent_.get() : nullptr);
-  engine_->reserve_stream_chunks(config_.stream.expected_chunks());
+  stack_ = NodeStack(sim_, mailer_, directory_, config_, self_, behavior,
+                     assignment_);
   if (self_ == NodeId{0}) {
-    source_ = std::make_unique<gossip::StreamSource>(sim_, *engine_,
+    source_ = std::make_unique<gossip::StreamSource>(sim_, stack_.engine(),
                                                      config_.stream);
   }
 }
@@ -82,8 +66,7 @@ void NodeHost::enable_trace(std::size_t capacity) {
   require(recorder_ == nullptr, "flight recorder already armed");
   recorder_ = std::make_unique<obs::Recorder>(sim_, capacity);
   injector_.set_trace(recorder_.get());
-  engine_->set_trace(recorder_.get());
-  if (agent_) agent_->set_trace(recorder_.get());
+  stack_.set_trace(recorder_.get());
 }
 
 void NodeHost::set_stat_hook(Duration interval, std::function<void()> hook) {
@@ -100,15 +83,10 @@ void NodeHost::stat_tick(TimePoint end) {
 }
 
 void NodeHost::collect_metrics(obs::Registry& out) const {
-  const auto& engine = engine_->stats();
-  out.set_counter("chunks_received", engine.chunks_received);
+  for (const auto& [name, field] : gossip::EngineStats::kFields) {
+    out.set_counter(name, engine_stats().*field);
+  }
   out.set_counter("chunks_emitted", chunks_emitted());
-  out.set_counter("duplicate_serves", engine.duplicate_serves);
-  out.set_counter("proposals_sent", engine.proposals_sent);
-  out.set_counter("requests_sent", engine.requests_sent);
-  out.set_counter("chunks_served", engine.chunks_served);
-  out.set_counter("invalid_requests", engine.invalid_requests);
-  out.set_counter("duplicate_requests", engine.duplicate_requests);
   out.set_counter("messages_sent", udp_.messages_sent());
   out.set_counter("messages_received", udp_.messages_received());
   out.set_counter("timers_fired", sim_.events_processed());
@@ -120,7 +98,10 @@ void NodeHost::collect_metrics(obs::Registry& out) const {
   out.set_counter("faults_dropped", faults.dropped());
   out.set_counter("faults_duplicated", faults.duplicated);
   out.set_counter("faults_delayed", faults.delayed + faults.reordered);
-  const auto audit = audit_channel_totals();
+  // Audit-channel delivery health (reliable-UDP mode; zeros otherwise).
+  const auto audit = stack_.agent() != nullptr
+                         ? stack_.agent()->audit_channel_totals()
+                         : lifting::Agent::AuditChannelStats{};
   out.set_counter("audit_sends", audit.sends);
   out.set_counter("audit_retries", audit.retries);
   out.set_counter("audit_give_ups", audit.give_ups);
@@ -155,16 +136,10 @@ void NodeHost::advance_clock() {
 void NodeHost::run() {
   require(roster_set_, "set_roster before run()");
 
-  // Desynchronized start like the simulator's population (the per-node
-  // stream constant is the joiner-offset base, unused in the static wire
-  // deployment, so it collides with nothing).
-  auto offset_rng =
-      derive_rng(config_.seed, 0x9000000000ULL + self_.value());
-  const auto offset = Duration{static_cast<Duration::rep>(
-      offset_rng.uniform() *
-      static_cast<double>(config_.gossip.period.count()))};
-  engine_->start(offset);
-  if (agent_) agent_->start(offset);
+  // Desynchronized start like a simulated joiner (the joiner stream is
+  // unused in the static wire deployment, so it collides with nothing).
+  stack_.start(NodeStack::join_offset(config_, self_.value(),
+                                      directory_.epoch_of(self_)));
   if (source_) source_->start();
 
   const TimePoint end = kSimEpoch + config_.duration;
@@ -186,8 +161,7 @@ void NodeHost::run() {
       // answering incoming traffic while the drain window runs.
       horizon_ = drain_end;
       if (source_) source_->stop();
-      engine_->stop();
-      if (agent_) agent_->stop();
+      stack_.stop();
     }
     if (sim_.now() >= drain_end) break;
     TimePoint wake = horizon_;

@@ -16,23 +16,22 @@
 #include "membership/directory.hpp"
 #include "net/udp_transport.hpp"
 #include "obs/trace.hpp"
+#include "runtime/node_stack.hpp"
 #include "runtime/scenario.hpp"
 #include "sim/metrics.hpp"
 #include "sim/simulator.hpp"
 
-/// One node's full protocol stack over real UDP datagrams — the wire
-/// counterpart of Experiment::make_node. A NodeHost is what a lifting_node
-/// daemon process runs (and what in-process wire tests run on threads):
-/// Directory + ManagerAssignment + Mailer-over-UdpTransport + Engine +
-/// Agent (+ StreamSource on the source node), built from the same
-/// ScenarioConfig the simulator consumes.
+/// One node over real UDP datagrams: what a lifting_node daemon process
+/// runs (and what in-process wire tests run on threads). Directory +
+/// ManagerAssignment + Mailer-over-UdpTransport + the simulator's own
+/// NodeStack (+ StreamSource on the source node), built from the same
+/// ScenarioConfig.
 ///
 /// Determinism across processes: the manager assignment is a pure function
-/// of (n, M, seed), freerider roles come from the same role rng stream
-/// Experiment draws (Experiment::derive_freerider_ids), and each node's
-/// agent/engine rng streams use the same per-node stream constants — so N
-/// independent processes given identical configs agree on every piece of
-/// shared state without exchanging anything but the port roster.
+/// of (n, M, seed), freerider roles come from Experiment's role stream
+/// (Experiment::derive_freerider_ids), and NodeStack keys each node's rng
+/// streams by (node, epoch) — so N processes given identical configs agree
+/// on all shared state while exchanging nothing but the port roster.
 ///
 /// Time: protocol timers still run on the sim::Simulator event queue, but
 /// run() slaves the virtual clock to std::chrono::steady_clock — due
@@ -42,8 +41,7 @@
 /// therefore costs no CPU, and loop_wakeups (see collect_metrics) stays
 /// within a small multiple of timers fired plus datagrams received. A
 /// drained datagram is handled at the current wall-clock time, after the
-/// timers due by then. The same Engine/Agent code drives both backends;
-/// only the outermost loop differs.
+/// timers due by then. Only this outermost loop differs from the simulator.
 
 namespace lifting::obs {
 class Registry;
@@ -77,7 +75,7 @@ class NodeHost {
   [[nodiscard]] bool is_source() const noexcept { return source_ != nullptr; }
   [[nodiscard]] bool is_freerider() const noexcept { return freerider_; }
   [[nodiscard]] const gossip::EngineStats& engine_stats() const noexcept {
-    return engine_->stats();
+    return stack_.engine().stats();
   }
   /// Chunks emitted by the stream source (0 on non-source nodes).
   [[nodiscard]] std::uint64_t chunks_emitted() const noexcept {
@@ -91,13 +89,6 @@ class NodeHost {
   /// stream, so no coordination is needed.
   [[nodiscard]] const faults::FaultInjector::Stats& fault_stats() const {
     return injector_.stats();
-  }
-  /// Audit-channel delivery health (reliable-UDP mode; zeros otherwise /
-  /// when LiFTinG is off).
-  [[nodiscard]] lifting::Agent::AuditChannelStats audit_channel_totals()
-      const {
-    return agent_ ? agent_->audit_channel_totals()
-                  : lifting::Agent::AuditChannelStats{};
   }
 
   /// Arms the flight recorder over this process's stack — engine, agent
@@ -120,9 +111,8 @@ class NodeHost {
 
   /// Folds every scattered counter family — engine, transport, faults,
   /// audit channel, drive loop (timers_fired, loop_wakeups), trace ring —
-  /// into `out` as absolute totals
-  /// (idempotent re-fold; the wire counterpart of
-  /// Experiment::collect_metrics).
+  /// into `out` as absolute totals (idempotent re-fold; the wire
+  /// counterpart of Experiment::collect_metrics).
   void collect_metrics(obs::Registry& out) const;
 
  private:
@@ -147,8 +137,7 @@ class NodeHost {
   gossip::Mailer mailer_;
   membership::Directory directory_;
   std::shared_ptr<lifting::ManagerAssignment> assignment_;
-  std::unique_ptr<lifting::Agent> agent_;
-  std::unique_ptr<gossip::Engine> engine_;
+  NodeStack stack_;
   std::unique_ptr<gossip::StreamSource> source_;
   std::unique_ptr<obs::Recorder> recorder_;
   Duration stat_interval_ = Duration::zero();

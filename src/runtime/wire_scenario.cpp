@@ -248,6 +248,9 @@ bool wire_supported(const ScenarioConfig& config, std::string* why) {
   if (config.view_propagation != Duration::zero()) {
     return unsupported("divergent membership views are simulator-only");
   }
+  if (config.membership.rps_partner_sampling) {
+    return unsupported("RPS partner sampling is simulator-only");
+  }
   // weak_fraction is NOT rejected: weak nodes differ only by link profile,
   // and link profiles are simulator-only (the wire has its own physics) —
   // on the wire a "weak" node is just a node.

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "faults/plan.hpp"
@@ -218,6 +220,41 @@ TEST(ExperimentReset, FaultAndAuditCountersMatchFreshConstruction) {
     EXPECT_EQ(w.counter, g.counter) << "counter leaked across reset: "
                                     << w.name;
     EXPECT_EQ(w.gauge, g.gauge) << "gauge leaked across reset: " << w.name;
+  }
+}
+
+/// Resetting a LiFTinG deployment into a LiFTinG-off config must leave no
+/// agent behind: a stale agent in a reused node slot would still observe
+/// its new engine and answer LiFTinG traffic.
+TEST(ExperimentReset, LiftingOffAfterLiftingOnMatchesFreshConstruction) {
+  auto on = ScenarioConfig::small(16);
+  on.duration = seconds(6.0);
+  on.stream.duration = seconds(5.0);
+  on.freerider_fraction = 0.25;
+  auto off = on;
+  off.lifting_enabled = false;
+
+  Experiment fresh(off);
+  fresh.run();
+  obs::Registry want;
+  fresh.collect_metrics(want);
+
+  Experiment reused(on);
+  reused.run();
+  ASSERT_GT(reused.metrics().value("sent.blame.count"), 0u);
+  reused.reset(off);
+  reused.run();
+  obs::Registry got;
+  reused.collect_metrics(got);
+
+  EXPECT_TRUE(RunDigest::of(reused) == RunDigest::of(fresh));
+  // The reused wire-stat registry keeps the LiFTinG kinds' (zeroed) slots,
+  // so compare by name: equal where fresh has the counter, zero elsewhere.
+  std::map<std::string, std::uint64_t> expected;
+  for (const auto& e : want.entries()) expected[e.name] = e.counter;
+  for (const auto& e : got.entries()) {
+    const auto it = expected.find(e.name);
+    EXPECT_EQ(e.counter, it == expected.end() ? 0u : it->second) << e.name;
   }
 }
 

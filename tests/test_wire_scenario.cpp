@@ -95,6 +95,13 @@ TEST(WireScenario, UnsupportedFeaturesAreNamed) {
   expel.expulsion_enabled = true;
   EXPECT_FALSE(wire_supported(expel, &why));
 
+  // No membership.* key crosses the wire encoding and NodeHost builds no
+  // RPS, so accepting this would run directory sampling under an RPS label.
+  auto rps = ScenarioConfig::small(16);
+  rps.membership.rps_partner_sampling = true;
+  EXPECT_FALSE(wire_supported(rps, &why));
+  EXPECT_NE(why.find("RPS"), std::string::npos) << why;
+
   auto tiny = ScenarioConfig::small(16);
   tiny.nodes = 1;
   EXPECT_FALSE(wire_supported(tiny, &why));
