@@ -19,8 +19,8 @@
 /// buffer has grown to the window's high-water size never allocates again.
 ///
 /// The histories keep only trivially copyable elements: a ring of small
-/// per-entry keys plus rings of ids stored back to back, filled with
-/// append() and drained with pop_front(n). The engine's window still keeps
+/// per-entry keys plus rings of ids and varint bytes stored back to back,
+/// filled with append() and drained with pop_front(n). The engine's window still keeps
 /// SmallVector payloads in its slots, and for it a ring never destroys its
 /// slots: pop_front() just advances the head index and the slot's payload
 /// buffers stay allocated until the same slot is reused by a later

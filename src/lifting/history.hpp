@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/ring_log.hpp"
@@ -26,12 +27,15 @@
 /// Storage is flat (DESIGN.md §9). Each log keeps a RingLog of small
 /// fixed-size keys (time, proposer or period, run lengths), entries
 /// time-ordered with the oldest at the front, and the proposals' variable
-/// parts live back to back in RingLogs of ids: entry i's chunk ids are the
-/// run that follows entry i-1's. An entry costs a 24-byte key plus 4 bytes
-/// per id, the witness scans walk keys only, and the window only ever
-/// evicts from the front and appends at the back, so once the rings have
-/// grown to the window's high water a node records its whole history
-/// without heap allocation. These rings hold plain keys and ids, so
+/// parts live back to back in rings: entry i's run follows entry i-1's.
+/// Chunk ids are stored as varint runs (detail::encode_run below): the ids
+/// of one proposal sit close together in the stream, so a run costs about
+/// one byte per id instead of four. An entry costs a 24-byte key plus its
+/// encoded run (at most 5 bytes per id), the witness scans walk keys and
+/// decode only the runs of the proposer asked about, and the window only
+/// ever evicts from the front and appends at the back, so once the rings
+/// have grown to the window's high water a node records its whole history
+/// without heap allocation. These rings hold plain keys, ids and bytes, so
 /// RingLog's slot-payload recycling contract does not concern them.
 
 namespace lifting {
@@ -48,6 +52,59 @@ void append_run(const RingLog<T>& ring, std::size_t pos, std::size_t n,
   out.insert(out.end(), tail.begin(), tail.end());
 }
 
+/// Appends `ids` to `out`, in their own order, each as the zigzag LEB128
+/// varint of its difference from the previous id (the first from 0), and
+/// returns the number of bytes written: 1 byte for a step within ±63,
+/// 5 bytes at worst (a step across the full 32-bit range).
+inline std::uint32_t encode_run(std::span<const ChunkId> ids,
+                                RingLog<std::uint8_t>& out) {
+  std::uint8_t buf[64];  // staged, so the ring takes bytes in a few appends
+  std::size_t used = 0;
+  std::uint32_t bytes = 0;
+  std::int64_t prev = 0;
+  for (const ChunkId c : ids) {
+    if (used + 5 > sizeof buf) {
+      out.append(buf, used);
+      bytes += static_cast<std::uint32_t>(used);
+      used = 0;
+    }
+    const std::int64_t id = c.value();
+    const std::int64_t delta = id - prev;
+    prev = id;
+    std::uint64_t z = (static_cast<std::uint64_t>(delta) << 1) ^
+                      static_cast<std::uint64_t>(delta >> 63);
+    for (; z >= 0x80; z >>= 7) {
+      buf[used++] = static_cast<std::uint8_t>(z | 0x80);
+    }
+    buf[used++] = static_cast<std::uint8_t>(z);
+  }
+  out.append(buf, used);
+  return bytes + static_cast<std::uint32_t>(used);
+}
+
+/// Decodes the run encode_run wrote at bytes [pos, pos + bytes) of `ring`
+/// onto the end of `out`. A varint may straddle the ring's physical end.
+inline void decode_run(const RingLog<std::uint8_t>& ring, std::size_t pos,
+                       std::size_t bytes, gossip::ChunkIdList& out) {
+  const auto [head, tail] = ring.spans(pos, bytes);
+  std::int64_t prev = 0;
+  std::uint64_t z = 0;
+  unsigned shift = 0;
+  for (const auto piece : {head, tail}) {
+    for (const std::uint8_t b : piece) {
+      z |= static_cast<std::uint64_t>(b & 0x7F) << shift;
+      if ((b & 0x80) != 0) {
+        shift += 7;
+        continue;
+      }
+      prev += static_cast<std::int64_t>((z >> 1) ^ (0 - (z & 1)));
+      out.push_back(ChunkId{static_cast<std::uint32_t>(prev)});
+      z = 0;
+      shift = 0;
+    }
+  }
+}
+
 }  // namespace detail
 
 class SentProposalHistory {
@@ -55,11 +112,10 @@ class SentProposalHistory {
   void record(TimePoint at, PeriodIndex period,
               const std::vector<NodeId>& partners,
               const gossip::ChunkIdList& chunks) {
-    keys_.push_slot() = Key{at, period,
-                            static_cast<std::uint32_t>(partners.size()),
-                            static_cast<std::uint32_t>(chunks.size())};
     partners_.append(partners.begin(), partners.size());
-    chunks_.append(chunks.begin(), chunks.size());
+    const std::uint32_t bytes = detail::encode_run(chunks, chunks_);
+    keys_.push_slot() =
+        Key{at, period, static_cast<std::uint32_t>(partners.size()), bytes};
   }
 
   void prune(TimePoint cutoff) {
@@ -82,7 +138,7 @@ class SentProposalHistory {
       const Key& k = keys_[i];
       out[i].period = k.period;
       detail::append_run(partners_, partner_pos, k.partners, out[i].partners);
-      detail::append_run(chunks_, chunk_pos, k.chunks, out[i].chunks);
+      detail::decode_run(chunks_, chunk_pos, k.chunks, out[i].chunks);
       partner_pos += k.partners;
       chunk_pos += k.chunks;
     }
@@ -94,21 +150,20 @@ class SentProposalHistory {
     TimePoint at{};
     PeriodIndex period = 0;
     std::uint32_t partners = 0;  // run length in partners_
-    std::uint32_t chunks = 0;    // run length in chunks_
+    std::uint32_t chunks = 0;    // encoded run length in chunks_, bytes
   };
   static_assert(sizeof(Key) == 24);
   RingLog<Key> keys_;
   RingLog<NodeId> partners_;
-  RingLog<ChunkId> chunks_;
+  RingLog<std::uint8_t> chunks_;
 };
 
 class ReceivedProposalLog {
  public:
   void record(TimePoint at, NodeId from, PeriodIndex period,
               const gossip::ChunkIdList& chunks) {
-    keys_.push_slot() =
-        Key{at, from, period, static_cast<std::uint32_t>(chunks.size())};
-    chunks_.append(chunks.begin(), chunks.size());
+    const std::uint32_t bytes = detail::encode_run(chunks, chunks_);
+    keys_.push_slot() = Key{at, from, period, bytes};
   }
 
   void prune(TimePoint cutoff) {
@@ -136,17 +191,18 @@ class ReceivedProposalLog {
   [[nodiscard]] bool confirms(NodeId subject,
                               const gossip::ChunkIdList& chunks,
                               TimePoint since) const {
+    gossip::ChunkIdList run;
     std::size_t run_end = chunks_.size();
     for (std::size_t i = keys_.size(); i-- > 0;) {
       const Key& k = keys_[i];
       if (k.at < since) break;  // entries are time-ordered
       run_end -= k.chunks;
       if (k.from != subject) continue;
-      const auto [head, tail] = chunks_.spans(run_end, k.chunks);
+      run.clear();
+      detail::decode_run(chunks_, run_end, k.chunks, run);
       const bool all =
           std::all_of(chunks.begin(), chunks.end(), [&](ChunkId c) {
-            return std::find(head.begin(), head.end(), c) != head.end() ||
-                   std::find(tail.begin(), tail.end(), c) != tail.end();
+            return std::find(run.begin(), run.end(), c) != run.end();
           });
       if (all) return true;
     }
@@ -160,11 +216,11 @@ class ReceivedProposalLog {
     TimePoint at{};
     NodeId from{};
     PeriodIndex period = 0;
-    std::uint32_t chunks = 0;  // run length in chunks_
+    std::uint32_t chunks = 0;  // encoded run length in chunks_, bytes
   };
   static_assert(sizeof(Key) == 24);
   RingLog<Key> keys_;
-  RingLog<ChunkId> chunks_;
+  RingLog<std::uint8_t> chunks_;
 };
 
 class ConfirmAskerLog {

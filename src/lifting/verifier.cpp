@@ -9,14 +9,14 @@ namespace lifting {
 
 namespace {
 
-/// Sorted-unique insert into a ChunkIdList — the std::set semantics the
+/// Sorted-unique insert into a ChunkIdSet — the std::set semantics the
 /// verification trackers rely on, without the per-element node allocation.
-void insert_sorted_unique(gossip::ChunkIdList& list, ChunkId c) {
+void insert_sorted_unique(ChunkIdSet& list, ChunkId c) {
   const auto it = std::lower_bound(list.begin(), list.end(), c);
   if (it == list.end() || *it != c) list.insert(it, c);
 }
 
-void erase_sorted(gossip::ChunkIdList& list, ChunkId c) {
+void erase_sorted(ChunkIdSet& list, ChunkId c) {
   const auto it = std::lower_bound(list.begin(), list.end(), c);
   if (it != list.end() && *it == c) list.erase(it, it + 1);
 }

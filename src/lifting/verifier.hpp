@@ -41,6 +41,16 @@ using BlameFn =
 using SendManyFn = std::function<void(std::span<const NodeId> to,
                                       const gossip::Message& message)>;
 
+/// A verification tracker's chunk ids, kept sorted and unique. The inline
+/// capacity is sized to the typical |R|, not to a whole proposal: these
+/// sets are the elements of the trackers' sorted flat vectors, so an unused
+/// inline buffer is paid once per element. A set that outgrows it spills
+/// through the SmallVector spill cache, so tracking a verification
+/// allocates nothing in steady state either way (the per-request std::set
+/// these replace paid one node allocation per chunk, the top allocator of
+/// whole runs).
+using ChunkIdSet = SmallVector<ChunkId, 4>;
+
 class DirectVerifier {
  public:
   DirectVerifier(sim::Simulator& sim, const LiftingParams& params,
@@ -75,13 +85,9 @@ class DirectVerifier {
                                     : period < o.period;
     }
   };
-  /// Outstanding chunk ids, kept sorted and unique — a SmallVector with
-  /// inline capacity >= the typical |R|, so tracking a verification
-  /// allocates nothing (the per-request std::set it replaces paid one node
-  /// allocation per chunk, the top allocator of whole runs).
   struct Pending {
     Key key;
-    gossip::ChunkIdList outstanding;
+    ChunkIdSet outstanding;
     std::size_t requested = 0;
   };
 
@@ -144,7 +150,7 @@ class CrossChecker {
   struct Batch {
     NodeId receiver;
     PeriodIndex serve_period;  // our proposal period the serve answered
-    gossip::ChunkIdList chunks;  // sorted + unique (see Pending::outstanding)
+    ChunkIdSet chunks;  // sorted + unique
     bool covered = false;  // fully covered by an ack
     std::uint64_t generation = 0;
     [[nodiscard]] std::pair<NodeId, PeriodIndex> key() const noexcept {

@@ -272,6 +272,150 @@ TEST(ReceivedProposalLog, MatchesNaiveReferenceAcrossIdRingWraps) {
   }
 }
 
+/// A chunk-id run in one of the shapes the varint codec must round-trip:
+/// neighbouring ids out of order, duplicates, steps across the full 32-bit
+/// range, or nothing at all.
+gossip::ChunkIdList scattered_run(Pcg32& rng, std::uint32_t base) {
+  gossip::ChunkIdList run;
+  switch (rng.below(5)) {
+    case 0:  // empty proposal
+      break;
+    case 1:  // neighbouring ids, shuffled, with a duplicate
+      for (std::uint32_t i = rng.below(40); i-- > 0;) {
+        run.push_back(ChunkId{base + rng.below(70)});
+      }
+      if (!run.empty()) run.push_back(run.front());
+      rng.shuffle(run);
+      break;
+    case 2:  // the range's extremes: 5-byte varints both ways
+      run = {ChunkId{0}, ChunkId{0xFFFFFFFF}, ChunkId{0}, ChunkId{base},
+             ChunkId{0xFFFFFFFF}, ChunkId{0x80000000}};
+      break;
+    case 3:  // anywhere in the range
+      for (std::uint32_t i = 1 + rng.below(12); i-- > 0;) {
+        run.push_back(ChunkId{rng.next()});
+      }
+      break;
+    default:  // descending neighbours
+      for (std::uint32_t i = 1 + rng.below(30); i-- > 0;) {
+        run.push_back(ChunkId{base + 3 * i});
+      }
+      break;
+  }
+  return run;
+}
+
+TEST(ChunkRunCodec, RoundTripsEveryShapeAcrossTheByteRingEnd) {
+  RingLog<std::uint8_t> ring;
+  const auto encode = [&](const gossip::ChunkIdList& run) {
+    return detail::encode_run(run, ring);
+  };
+  // One byte per step within ±63; a step across the full 32-bit range
+  // takes 5 bytes each way.
+  EXPECT_EQ(encode({ChunkId{10}, ChunkId{11}, ChunkId{9}}), 3u);
+  EXPECT_EQ(encode({ChunkId{0}, ChunkId{0xFFFFFFFF}, ChunkId{0}}), 11u);
+  EXPECT_EQ(encode({}), 0u);
+  ring.clear();
+
+  Pcg32 rng(1202, 3);
+  std::deque<std::pair<gossip::ChunkIdList, std::uint32_t>> live;
+  std::size_t straddled = 0;
+  for (std::uint32_t i = 0; i < 400; ++i) {
+    gossip::ChunkIdList run = scattered_run(rng, i * 29);
+    const std::size_t pos = ring.size();
+    const std::uint32_t bytes = encode(run);
+    EXPECT_LE(bytes, 5 * run.size());
+    const auto [head, tail] = ring.spans(pos, bytes);
+    if (!head.empty() && !tail.empty()) ++straddled;
+    live.emplace_back(std::move(run), bytes);
+    while (live.size() > 3) {  // keep the ring small so it wraps often
+      ring.pop_front(live.front().second);
+      live.pop_front();
+    }
+    std::size_t at = 0;
+    for (const auto& [want, n] : live) {
+      gossip::ChunkIdList got;
+      detail::decode_run(ring, at, n, got);
+      ASSERT_EQ(got, want) << "record " << i;
+      at += n;
+    }
+  }
+  EXPECT_GT(straddled, 10u);
+}
+
+TEST(ReceivedProposalLog, MatchesNaiveReferenceOnScatteredRuns) {
+  // Unsorted runs, duplicate ids, full-range steps and empty proposals
+  // through a sliding window: every answer must match a log that stores
+  // each proposal whole. Queries draw from a live proposal so they hit.
+  struct Ref {
+    TimePoint at;
+    NodeId from;
+    PeriodIndex period;
+    gossip::ChunkIdList chunks;
+  };
+  std::deque<Ref> ref;
+  ReceivedProposalLog log;
+  Pcg32 rng(7, 11);
+  std::size_t hits = 0;
+  for (PeriodIndex p = 0; p < 800; ++p) {
+    const TimePoint now = kSimEpoch + milliseconds(100) * p;
+    const gossip::ChunkIdList chunks = scattered_run(rng, p * 13);
+    const NodeId from{rng.below(4)};
+    log.record(now, from, p, chunks);
+    ref.push_back(Ref{now, from, p, chunks});
+    const TimePoint cutoff = now - milliseconds(700);
+    log.prune(cutoff);
+    while (!ref.empty() && ref.front().at < cutoff) ref.pop_front();
+    ASSERT_EQ(log.size(), ref.size());
+
+    const Ref& pick = ref[rng.below(static_cast<std::uint32_t>(ref.size()))];
+    gossip::ChunkIdList query;
+    for (std::uint32_t i = rng.below(4); i-- > 0 && !pick.chunks.empty();) {
+      query.push_back(pick.chunks[rng.below(
+          static_cast<std::uint32_t>(pick.chunks.size()))]);
+    }
+    if (rng.below(3) == 0) query.push_back(ChunkId{rng.next()});
+    const NodeId subject = rng.below(4) == 0 ? NodeId{rng.below(4)} : pick.from;
+    const TimePoint since = now - milliseconds(100) * rng.below(8);
+    const bool want =
+        std::any_of(ref.begin(), ref.end(), [&](const Ref& r) {
+          if (r.at < since || r.from != subject) return false;
+          return std::all_of(query.begin(), query.end(), [&](ChunkId c) {
+            return std::find(r.chunks.begin(), r.chunks.end(), c) !=
+                   r.chunks.end();
+          });
+        });
+    hits += want ? 1 : 0;
+    ASSERT_EQ(log.confirms(subject, query, since), want) << "p=" << p;
+    ASSERT_TRUE(log.has(pick.from, pick.period));
+  }
+  EXPECT_GT(hits, 200u);
+}
+
+TEST(SentProposalHistory, SnapshotRoundTripsScatteredRunsAcrossWraps) {
+  // The audit reply must carry each proposal's ids exactly as recorded:
+  // same ids, same order, duplicates kept, after the rings wrapped.
+  SentProposalHistory history;
+  std::deque<std::pair<PeriodIndex, gossip::ChunkIdList>> ref;
+  Pcg32 rng(99, 5);
+  for (PeriodIndex p = 0; p < 300; ++p) {
+    const TimePoint now = kSimEpoch + milliseconds(500) * p;
+    gossip::ChunkIdList chunks = scattered_run(rng, p * 17);
+    history.record(now, p, {NodeId{p % 7}}, chunks);
+    ref.emplace_back(p, std::move(chunks));
+    history.prune(now - seconds(2.0));
+    while (ref.size() > history.size()) ref.pop_front();
+  }
+  const auto snap = history.snapshot();
+  ASSERT_EQ(snap.size(), ref.size());
+  for (std::size_t i = 0; i < snap.size(); ++i) {
+    EXPECT_EQ(snap[i].period, ref[i].first);
+    EXPECT_EQ(snap[i].partners,
+              std::vector<NodeId>{NodeId{ref[i].first % 7}});
+    EXPECT_EQ(snap[i].chunks, ref[i].second) << "period " << ref[i].first;
+  }
+}
+
 TEST(SentProposalHistory, SnapshotRebuildsLongRuns) {
   // 9 partners and 40 chunks: the rebuilt ChunkIdList spills past its
   // 32-id inline capacity, and the key's partner run is longer than the

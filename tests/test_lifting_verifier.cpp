@@ -120,6 +120,35 @@ TEST(DirectVerifier, EmptyRequestIsIgnored) {
   EXPECT_EQ(dv.verifications_completed(), 0u);
 }
 
+TEST(DirectVerifier, LongRequestSpillsAndBlamesOnlyTheUnserved) {
+  // 28 ids spill past the tracker's inline capacity. Other requests are
+  // inserted before and after it, so the sorted pending table moves the
+  // spilled set around; serves arrive out of order, one twice, and 5 ids
+  // never arrive.
+  VerifierFixture fx;
+  DirectVerifier dv(fx.sim, fx.params, fx.blame_fn());
+  gossip::ChunkIdList r;
+  for (std::uint32_t i = 0; i < 28; ++i) r.push_back(ChunkId{100 + 3 * i});
+  fx.rng.shuffle(r);
+  dv.on_request_sent(NodeId{6}, 1, {ChunkId{1}});
+  dv.on_request_sent(NodeId{9}, 1, r);
+  dv.on_request_sent(NodeId{3}, 1, {ChunkId{2}});
+  dv.on_request_sent(NodeId{9}, 2, {ChunkId{4}});
+  dv.on_serve_received(NodeId{3}, 1, ChunkId{2});
+  dv.on_serve_received(NodeId{6}, 1, ChunkId{1});
+  dv.on_serve_received(NodeId{9}, 2, ChunkId{4});
+  gossip::ChunkIdList served(r.begin() + 5, r.end());
+  fx.rng.shuffle(served);
+  for (const auto c : served) dv.on_serve_received(NodeId{9}, 1, c);
+  dv.on_serve_received(NodeId{9}, 1, served[7]);  // duplicate serve
+  fx.sim.run();
+  ASSERT_EQ(fx.blames.size(), 1u);
+  EXPECT_EQ(fx.blames[0].target, NodeId{9});
+  EXPECT_DOUBLE_EQ(fx.blames[0].value, 7.0 * 5.0 / 28.0);  // f·5/28
+  EXPECT_EQ(fx.blames[0].reason, gossip::BlameReason::kDirectVerification);
+  EXPECT_EQ(dv.verifications_completed(), 4u);
+}
+
 // ---------------------------------------------------------- CrossChecker
 
 gossip::AckMsg make_ack(PeriodIndex period, gossip::ChunkIdList chunks,
@@ -265,6 +294,36 @@ TEST(CrossChecker, OneRoundPerReceiverPhaseEvenWithTwoBatches) {
   }
   fx.sim.run();
   EXPECT_DOUBLE_EQ(fx.total_blame(NodeId{5}), 0.0);
+}
+
+TEST(CrossChecker, LongBatchCoveredByShuffledAck) {
+  // A 28-chunk batch spills past the tracker's inline capacity; a second
+  // receiver's batch is inserted before it in the sorted table. The ack
+  // lists the 28 chunks shuffled: it covers the batch, so no ack-missing
+  // blame reaches the receiver, and one confirm round starts.
+  VerifierFixture fx;
+  CrossChecker cc(fx.sim, fx.params, NodeId{0}, fx.rng, fx.blame_fn(),
+                  fx.send_fn());
+  gossip::ChunkIdList chunks;
+  for (std::uint32_t i = 0; i < 28; ++i) chunks.push_back(ChunkId{50 + i});
+  cc.on_chunks_served(NodeId{5}, 2, chunks);
+  cc.on_chunks_served(NodeId{3}, 2, {ChunkId{7}});  // never acked
+  fx.rng.shuffle(chunks);
+  cc.on_ack_received(NodeId{5}, make_ack(3, chunks, 7));
+  EXPECT_EQ(cc.confirm_rounds_started(), 1u);
+  ASSERT_EQ(fx.sent.size(), 7u);
+  const auto* req = std::get_if<gossip::ConfirmReqMsg>(&fx.sent[0].second);
+  ASSERT_NE(req, nullptr);
+  EXPECT_EQ(req->chunks.size(), 28u);
+  for (std::uint32_t w = 20; w < 27; ++w) {
+    cc.on_confirm_response(NodeId{w},
+                           gossip::ConfirmRespMsg{NodeId{5}, 3, true});
+  }
+  fx.sim.run();
+  EXPECT_DOUBLE_EQ(fx.total_blame(NodeId{5}), 0.0);
+  ASSERT_EQ(fx.blames.size(), 1u);  // only the unacked neighbour
+  EXPECT_EQ(fx.blames[0].target, NodeId{3});
+  EXPECT_EQ(fx.blames[0].reason, gossip::BlameReason::kInvalidAck);
 }
 
 }  // namespace
