@@ -39,6 +39,7 @@
 
 #include "alloc_tally.hpp"
 #include "common/build_info.hpp"
+#include "common/ring_log.hpp"
 #include "common/table.hpp"
 #include "obs/registry.hpp"
 #include "runtime/experiment.hpp"
@@ -94,6 +95,10 @@ struct Row {
   bool streamed = false;
   std::uint64_t heap_high_water = 0;  // peak live heap growth of the row
   std::uint64_t peak_rss_kb = 0;      // process-global, monotone
+  /// Recycled memory no structure holds at row end: RingLog pages in the
+  /// page pool plus SpillCache free-list blocks. Memory that growth
+  /// stranded shows up here.
+  std::uint64_t pool_idle_bytes = 0;
   /// Per-row unified metrics (obs::Registry, DESIGN.md §13): the folded
   /// deployment counters plus the scoped phase timers (phase.build /
   /// phase.run / phase.health gauges).
@@ -150,6 +155,8 @@ Row run(std::uint32_t n) {
   // node — the budgeted number. RSS is sampled after, for the OS view.
   row.heap_high_water = bench::AllocSnapshot::now().high_water_since(mem_start);
   row.peak_rss_kb = bench::peak_rss_kb();
+  row.pool_idle_bytes = detail::PagePool::idle_bytes() +
+                        detail::SpillCache::idle_bytes();
   return row;
 }
 
@@ -162,9 +169,10 @@ void write_json(const char* path, const std::vector<Row>& rows,
   }
   // schema_version 2: rows carry the folded obs::Registry counters
   // ("metrics") and the scoped phase timers ("phase_seconds").
+  // schema_version 3: rows carry "pool_idle_bytes".
   std::fprintf(f,
                "{\n  \"bench\": \"bench_scale_nodes\",\n"
-               "  \"schema_version\": 2,\n"
+               "  \"schema_version\": 3,\n"
                "  \"build\": \"%s\",\n  \"sanitizer\": \"%s\",\n"
                "  \"budget_bytes_per_node\": %llu,\n  \"rows\": [\n",
                build_type(), sanitizer_tag(), (unsigned long long)budget);
@@ -176,11 +184,13 @@ void write_json(const char* path, const std::vector<Row>& rows,
         "\"wall_seconds\": %.3f, \"events_per_second\": %.0f, "
         "\"health\": %.3f, \"streamed\": %s, "
         "\"heap_high_water_bytes\": %llu, \"bytes_per_node\": %.0f, "
-        "\"peak_rss_kb\": %llu,\n     \"phase_seconds\": {",
+        "\"peak_rss_kb\": %llu, \"pool_idle_bytes\": %llu,\n"
+        "     \"phase_seconds\": {",
         r.nodes, r.sim_seconds, (unsigned long long)r.events, r.wall_seconds,
         static_cast<double>(r.events) / r.wall_seconds, r.health,
         r.streamed ? "true" : "false", (unsigned long long)r.heap_high_water,
-        r.bytes_per_node(), (unsigned long long)r.peak_rss_kb);
+        r.bytes_per_node(), (unsigned long long)r.peak_rss_kb,
+        (unsigned long long)r.pool_idle_bytes);
     bool first = true;
     for (const auto& e : r.metrics.entries()) {
       if (e.kind != obs::Registry::Kind::kGauge) continue;
@@ -256,10 +266,11 @@ int main(int argc, char** argv) {
     const Row row = run(n);
     std::fprintf(stderr,
                  "[scale] n=%u: %llu events in %.2fs (%.0f ev/s, "
-                 "%.0f B/node, rss %llu MB)\n",
+                 "%.0f B/node, rss %llu MB, pool idle %llu KB)\n",
                  row.nodes, (unsigned long long)row.events, row.wall_seconds,
                  static_cast<double>(row.events) / row.wall_seconds,
-                 row.bytes_per_node(), (unsigned long long)(row.peak_rss_kb / 1024));
+                 row.bytes_per_node(), (unsigned long long)(row.peak_rss_kb / 1024),
+                 (unsigned long long)(row.pool_idle_bytes / 1024));
     table.add_row({lifting::TextTable::num(row.nodes, 0),
                    lifting::TextTable::num(row.sim_seconds, 0),
                    lifting::TextTable::num(static_cast<double>(row.events), 0),

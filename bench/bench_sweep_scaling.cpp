@@ -256,18 +256,20 @@ int main(int argc, char** argv) {
   // ---- steady-state allocation: a warmed planetlab deployment in the
   // memory-diet configuration (streamed health folding delivery logs,
   // shortened history retention) must run further protocol periods without
-  // a single heap allocation — rings, scratch buffers, spill-block cache,
+  // a single heap allocation — ring pages, scratch buffers, spill blocks,
   // the event arena and the delivery pool all recycle storage they already
   // own, and every remaining container is either window-bounded or
-  // pre-sized for the stream. The first pass runs the full horizon so
-  // every structure reaches the high-water mark this exact event sequence
-  // demands; reset() then tears the per-node objects down — returning all
-  // their recycled blocks to the thread's spill cache — and replays the
-  // identical run. Replay demand at any instant is a prefix of what the
-  // first pass released, so the warmed window is allocation-free by
-  // construction, not by statistical luck. This is the per-period
-  // zero-allocation invariant the ring-buffer histories, the flat engine
-  // tables and the spill-block recycler exist for.
+  // pre-sized for the stream. The first pass runs the full horizon;
+  // reset() then tears the per-node objects down, which returns every
+  // ring page to the thread's page pool and every other block to its
+  // spill cache, and replays the identical run. The replay's page demand
+  // at any instant equals the first pass's, and the pool already holds
+  // that pass's peak page count, so no page is ever allocated; the
+  // remaining growable blocks are re-taken the same way from the spill
+  // cache. The warmed window is allocation-free by construction, not by
+  // statistical luck. This is the per-period zero-allocation invariant the
+  // paged logs, the flat engine tables and the spill-block recycler exist
+  // for.
   {
     auto diet_cfg = runtime::ScenarioConfig::planetlab();
     diet_cfg.duration = seconds(12.0);
@@ -280,7 +282,7 @@ int main(int argc, char** argv) {
     steady.enable_streamed_health({2.0}, /*honest_only=*/true, playback,
                                   /*fold_interval=*/seconds(0.5));
     steady.run();   // first pass: every structure reaches its high water
-    steady.reset(); // blocks return to the spill cache; replay re-takes them
+    steady.reset(); // pages and blocks go back to their pools for the replay
     steady.enable_streamed_health({2.0}, /*honest_only=*/true, playback,
                                   /*fold_interval=*/seconds(0.5));
     steady.run_until(kSimEpoch + seconds(6.0));  // replayed warmup

@@ -3,57 +3,140 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstring>
+#include <iterator>
+#include <memory>
+#include <new>
 #include <span>
-#include <utility>
-#include <vector>
 
 #include "common/assert.hpp"
 #include "common/small_vector.hpp"
 
-/// A flat circular log: push at the back, prune from the front, O(1) both.
+/// A paged FIFO log: push at the back, prune from the front, O(1) both.
 ///
-/// This is the storage behind the per-node accountability histories
-/// (src/lifting/history.hpp) and the engine's sent-proposal window. Those
-/// logs hold a sliding window of the last n_h periods, so a deque is the
-/// obvious shape — but deques allocate per block, and a ring whose backing
-/// buffer has grown to the window's high-water size never allocates again.
+/// This is the storage behind every windowed per-node structure: the
+/// accountability histories (src/lifting/history.hpp), the engine's
+/// sent-proposal window and the DeliveryLog's time table
+/// (src/gossip/chunk.hpp). Each holds a sliding window, so its memory
+/// should track the window, not how the window grew.
 ///
-/// The histories keep only trivially copyable elements: a ring of small
-/// per-entry keys plus rings of ids and varint bytes stored back to back,
-/// filled with append() and drained with pop_front(n). The engine's window still keeps
-/// SmallVector payloads in its slots, and for it a ring never destroys its
-/// slots: pop_front() just advances the head index and the slot's payload
-/// buffers stay allocated until the same slot is reused by a later
-/// push_slot(). Contract for that slot reuse: refill payload containers
-/// with `.assign()` / `.clear()` + `push_back`, never `operator=` —
-/// SmallVector's assignment operators release the spilled buffer, which
-/// would defeat the reuse.
+/// A ring is a table of fixed-size pages (kPageBytes) taken from one
+/// thread-local pool. Appending at the tail takes a page when the last one
+/// is full; popping the head past a page's end returns that page to the
+/// pool. Nothing is ever copied into a larger block, so growth strands no
+/// memory: a page another ring released serves the next grower, whatever
+/// its element type. Entries never move while they are live.
 ///
-/// Growth doubles the backing vector and linearizes the live entries (the
-/// only moment entries are moved); capacity is never given back. The
-/// backing storage is a RecycledVector, so growth reallocations (and the
-/// final release at teardown) cycle through the thread's spill-block
-/// cache instead of the system allocator.
+/// Elements are constructed when their page is taken and destroyed when
+/// it is released (for trivially copyable elements both are no-ops). A
+/// slot returned by push_slot() therefore holds either a fresh element or
+/// what a pruned entry of the same page left behind — callers overwrite
+/// every field they read back. For payload-owning elements (the engine's
+/// SmallVector window), refill with `.assign()` / `.clear()` +
+/// `push_back`, never `operator=`: SmallVector's assignment releases the
+/// spilled buffer the slot already owns. A released page's spill blocks
+/// go back to the SpillCache with the elements' destructors.
+///
+/// Readers of runs walk for_each_span() / scan_back(), which hand out the
+/// live range one page-contiguous piece at a time.
 
 namespace lifting {
 
+/// Page size of every RingLog, measured (DESIGN.md §9): a 256 B page
+/// cannot hold the engine's 280 B window entries, and 1024 B pages leave
+/// more of each small log's head and tail pages empty.
+inline constexpr std::size_t kPageBytes = 512;
+
+namespace detail {
+
+/// Thread-local free list of kPageBytes pages, shared by every RingLog on
+/// the thread. Pages are kept for reuse, not handed back to the allocator
+/// (any page serves any ring), and freed at thread exit. Each page is its
+/// own operator new block, so a page may be released on a different
+/// thread than it was taken on: a runner lane that destroys an Experiment
+/// built elsewhere just adopts its pages.
+class PagePool {
+ public:
+  [[nodiscard]] static void* take() {
+    State& s = state();
+    if (s.free == nullptr) return ::operator new(kPageBytes);
+    void* page = s.free;
+    std::memcpy(&s.free, page, sizeof(void*));  // alias-safe link read
+    --s.idle;
+    return page;
+  }
+
+  static void put(void* page) noexcept {
+    State& s = state();
+    if (s.closed) {  // a ring outliving this thread's pool
+      ::operator delete(page);
+      return;
+    }
+    std::memcpy(page, &s.free, sizeof(void*));
+    s.free = page;
+    ++s.idle;
+  }
+
+  /// Bytes held in this thread's pool, waiting for a ring to take them.
+  [[nodiscard]] static std::size_t idle_bytes() noexcept {
+    return state().idle * kPageBytes;
+  }
+
+ private:
+  /// Trivially destructible, so it stays usable after the Drain below ran.
+  struct State {
+    void* free = nullptr;
+    std::size_t idle = 0;
+    bool closed = false;
+  };
+  struct Drain {
+    State* s;
+    ~Drain() {
+      while (s->free != nullptr) {
+        void* page = s->free;
+        std::memcpy(&s->free, page, sizeof(void*));
+        ::operator delete(page);
+      }
+      s->idle = 0;
+      s->closed = true;
+    }
+  };
+  [[nodiscard]] static State& state() noexcept {
+    thread_local State s;
+    thread_local Drain drain{&s};
+    return s;
+  }
+};
+
+}  // namespace detail
+
 template <typename T>
 class RingLog {
+  static_assert(sizeof(T) <= kPageBytes, "RingLog element exceeds a page");
+  static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
+
  public:
+  static constexpr std::size_t kPerPage = kPageBytes / sizeof(T);
+
   RingLog() = default;
+  RingLog(const RingLog&) = delete;
+  RingLog& operator=(const RingLog&) = delete;
+  ~RingLog() { release_front(pages_.size()); }
 
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
-  [[nodiscard]] std::size_t capacity() const noexcept { return buf_.size(); }
+  /// Pages this ring holds: those its live entries touch. An emptied ring
+  /// keeps its head page unless the last pop ended on a page boundary.
+  [[nodiscard]] std::size_t pages() const noexcept { return pages_.size(); }
 
   /// Oldest-first access: (*this)[0] is the front, [size()-1] the back.
   [[nodiscard]] T& operator[](std::size_t i) noexcept {
     LIFTING_ASSERT(i < size_, "RingLog index out of range");
-    return buf_[wrap(head_ + i)];
+    return slot(head_ + i);
   }
   [[nodiscard]] const T& operator[](std::size_t i) const noexcept {
     LIFTING_ASSERT(i < size_, "RingLog index out of range");
-    return buf_[wrap(head_ + i)];
+    return slot(head_ + i);
   }
 
   [[nodiscard]] T& front() noexcept { return (*this)[0]; }
@@ -61,74 +144,102 @@ class RingLog {
   [[nodiscard]] T& back() noexcept { return (*this)[size_ - 1]; }
   [[nodiscard]] const T& back() const noexcept { return (*this)[size_ - 1]; }
 
-  /// Appends an entry and returns the (recycled) slot for the caller to
-  /// fill. The slot holds whatever a previously pruned entry left behind —
-  /// callers overwrite every field they read back.
+  /// Appends an entry and returns its slot for the caller to fill.
   [[nodiscard]] T& push_slot() {
-    if (size_ == buf_.size()) grow(size_ + 1);
-    T& slot = buf_[wrap(head_ + size_)];
+    const std::size_t at = head_ + size_;
+    if (at == pages_.size() * kPerPage) take_page();
     ++size_;
-    return slot;
+    return slot(at);
   }
 
-  /// Appends `n` elements copied from `first`.
+  /// Appends `n` elements copied from the random-access range at `first`.
   template <typename It>
   void append(It first, std::size_t n) {
-    if (size_ + n > buf_.size()) grow(size_ + n);
-    const std::size_t tail = wrap(head_ + size_);
-    const std::size_t run = std::min(n, buf_.size() - tail);
-    std::copy_n(first, run, buf_.begin() + static_cast<std::ptrdiff_t>(tail));
-    std::copy_n(first + static_cast<std::ptrdiff_t>(run), n - run,
-                buf_.begin());
-    size_ += n;
+    while (n > 0) {
+      const std::size_t at = head_ + size_;
+      if (at == pages_.size() * kPerPage) take_page();
+      const std::size_t off = at % kPerPage;
+      const std::size_t run = std::min(n, kPerPage - off);
+      std::copy_n(first, run, pages_[at / kPerPage] + off);
+      first = std::next(first, static_cast<std::ptrdiff_t>(run));
+      size_ += run;
+      n -= run;
+    }
   }
 
-  /// Drops the `n` oldest entries without destroying their slots (payload
-  /// capacity is recycled by a future push_slot()).
+  /// Drops the `n` oldest entries; pages they empty go back to the pool.
   void pop_front(std::size_t n = 1) noexcept {
     LIFTING_ASSERT(n <= size_, "pop_front past the end of a RingLog");
-    head_ = wrap(head_ + n);
+    head_ += n;
     size_ -= n;
+    const std::size_t done = head_ / kPerPage;
+    release_front(done);
+    head_ -= done * kPerPage;
   }
 
-  /// The live range [pos, pos + n) as two contiguous pieces, oldest first;
-  /// the second is empty unless the range wraps the buffer's physical end.
-  [[nodiscard]] std::pair<std::span<const T>, std::span<const T>> spans(
-      std::size_t pos, std::size_t n) const noexcept {
+  /// Calls `f(std::span<const T>)` on the live range [pos, pos + n), one
+  /// page-contiguous piece at a time, oldest first.
+  template <typename F>
+  void for_each_span(std::size_t pos, std::size_t n, F&& f) const {
     LIFTING_ASSERT(pos + n <= size_, "RingLog span out of range");
-    const std::size_t start = wrap(head_ + pos);
-    const std::size_t run = std::min(n, buf_.size() - start);
-    return {std::span<const T>(buf_.data() + start, run),
-            std::span<const T>(buf_.data(), n - run)};
+    std::size_t at = head_ + pos;
+    while (n > 0) {
+      const std::size_t off = at % kPerPage;
+      const std::size_t run = std::min(n, kPerPage - off);
+      f(std::span<const T>(pages_[at / kPerPage] + off, run));
+      at += run;
+      n -= run;
+    }
   }
 
-  /// Forgets the live entries; slots (and their payload capacity) remain.
+  /// Calls `f(std::span<const T>)` on the live entries newest page first,
+  /// until it returns true; returns whether it did. Each span is in
+  /// oldest-first order, so a newest-first scan walks it backwards.
+  template <typename F>
+  bool scan_back(F&& f) const {
+    std::size_t end = head_ + size_;
+    while (end > head_) {
+      const std::size_t page = (end - 1) / kPerPage;
+      const std::size_t begin = std::max(head_, page * kPerPage);
+      if (f(std::span<const T>(pages_[page] + (begin - page * kPerPage),
+                               end - begin))) {
+        return true;
+      }
+      end = begin;
+    }
+    return false;
+  }
+
+  /// Forgets the live entries and returns every page to the pool.
   void clear() noexcept {
+    release_front(pages_.size());
     head_ = 0;
     size_ = 0;
   }
 
  private:
-  [[nodiscard]] std::size_t wrap(std::size_t i) const noexcept {
-    return i < buf_.size() ? i : i - buf_.size();
+  [[nodiscard]] T& slot(std::size_t at) const noexcept {
+    return pages_[at / kPerPage][at % kPerPage];
   }
 
-  /// Doubles the capacity (from 8) until it holds `needed` entries.
-  void grow(std::size_t needed) {
-    std::size_t new_cap = buf_.empty() ? 8 : buf_.size() * 2;
-    while (new_cap < needed) new_cap *= 2;
-    RecycledVector<T> next;
-    next.reserve(new_cap);
-    for (std::size_t i = 0; i < size_; ++i) {
-      next.push_back(std::move((*this)[i]));
+  void take_page() {
+    T* page = static_cast<T*>(detail::PagePool::take());
+    std::uninitialized_default_construct_n(page, kPerPage);
+    pages_.push_back(page);
+  }
+
+  void release_front(std::size_t n) noexcept {
+    if (n == 0) return;
+    for (std::size_t i = 0; i < n; ++i) {
+      std::destroy_n(pages_[i], kPerPage);
+      detail::PagePool::put(pages_[i]);
     }
-    next.resize(new_cap);
-    buf_.swap(next);
-    head_ = 0;
+    pages_.erase(pages_.begin(),
+                 pages_.begin() + static_cast<std::ptrdiff_t>(n));
   }
 
-  RecycledVector<T> buf_;
-  std::size_t head_ = 0;
+  RecycledVector<T*> pages_;  // page table, oldest page first
+  std::size_t head_ = 0;      // offset of the front entry in pages_[0]
   std::size_t size_ = 0;
 };
 

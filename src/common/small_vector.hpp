@@ -87,6 +87,15 @@ class SpillCache {
     return true;
   }
 
+  /// Bytes held in this thread's free lists, waiting for a taker.
+  [[nodiscard]] static std::size_t idle_bytes() noexcept {
+    std::size_t bytes = 0;
+    for (std::size_t cls = 0; cls < kClasses; ++cls) {
+      bytes += lists()[cls].size() * (kMinBytes << cls);
+    }
+    return bytes;
+  }
+
  private:
   static constexpr std::size_t kClasses = 11;  // 64 << 10 == 64 KiB
 
@@ -117,15 +126,16 @@ class SpillCache {
 }  // namespace detail
 
 /// std::allocator drop-in that routes cacheable sizes through the
-/// SpillCache. The per-node bookkeeping containers (history rings, flat
-/// verifier tables, delivery logs, engine scratch) use it via
-/// RecycledVector so their growth reallocations recycle blocks freed by
-/// earlier growth — together with SmallVector's spilled payloads, every
-/// steady-state byte of a warmed deployment comes out of the thread's
-/// cache, never the system allocator (the zero-allocation window
-/// bench_sweep_scaling asserts). Blocks above SpillCache::kMaxBytes pass
-/// straight through, so million-node arrays cost exact bytes, not
-/// next-power-of-two bytes.
+/// SpillCache. The per-node containers that are not windowed logs (flat
+/// verifier tables, the delivery presence bitmap, engine scratch, RingLog
+/// page tables) use it via RecycledVector so their growth reallocations
+/// recycle blocks freed by earlier growth. Windowed logs live on RingLog
+/// pages instead (src/common/ring_log.hpp). Together with SmallVector's
+/// spilled payloads, every steady-state byte of a warmed deployment comes
+/// out of the thread's caches, never the system allocator (the
+/// zero-allocation window bench_sweep_scaling asserts). Blocks above
+/// SpillCache::kMaxBytes pass straight through, so million-node arrays
+/// cost exact bytes, not next-power-of-two bytes.
 template <typename T>
 struct RecycledAllocator {
   using value_type = T;

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/assert.hpp"
+#include "common/ring_log.hpp"
 #include "common/small_vector.hpp"
 #include "common/time.hpp"
 #include "common/types.hpp"
@@ -35,13 +36,16 @@ using ChunkIdList = SmallVector<ChunkId, 32>;
 ///
 /// Chunk ids are dense in emission order, so the log is a presence bitmap
 /// (1 bit/chunk, never compacted — has_chunk must answer for the whole
-/// stream) plus a flat time table (8 B/chunk): containment and lookup are
-/// O(1) array reads on the per-serve hot path. Long streamed runs call
-/// compact_before(horizon) once per fold to drop the *times* of chunks
-/// older than the judgment horizon — delivery counts and presence survive,
-/// so memory is O(window), not O(stream length). find() returns nullptr
-/// for a folded chunk; callers that need folded times must consume them
-/// before the fold (src/runtime/experiment.cpp's streamed health does).
+/// stream) plus a time table (8 B/chunk) indexed by id - window_base():
+/// containment and lookup are O(1) reads on the per-serve hot path. The
+/// table is a paged RingLog, like every other windowed per-node log. Long
+/// streamed runs call compact_before(horizon) once per fold to drop the
+/// *times* of chunks older than the judgment horizon; that hands whole
+/// pages back to the pool, it moves no entry. Delivery counts and presence
+/// survive, so memory is O(window), not O(stream length). find() returns
+/// nullptr for a folded chunk; callers that need folded times must consume
+/// them before the fold (src/runtime/experiment.cpp's streamed health
+/// does).
 class DeliveryLog {
  public:
   [[nodiscard]] bool contains(ChunkId id) const noexcept {
@@ -70,7 +74,7 @@ class DeliveryLog {
     present_[word] |= 1ULL << (v % 64);
     ++size_;
     if (v < base_) return;  // delivered after its window folded: count only
-    if (v - base_ >= at_.size()) at_.resize(v - base_ + 1, TimePoint::min());
+    while (at_.size() <= v - base_) at_.push_slot() = TimePoint::min();
     at_[v - base_] = at;
   }
 
@@ -88,8 +92,7 @@ class DeliveryLog {
   void compact_before(ChunkId horizon) {
     const auto h = static_cast<std::size_t>(horizon.value());
     if (h <= base_) return;
-    const std::size_t drop = std::min(h - base_, at_.size());
-    at_.erase(at_.begin(), at_.begin() + static_cast<std::ptrdiff_t>(drop));
+    at_.pop_front(std::min(h - base_, at_.size()));
     base_ = h;
   }
 
@@ -141,7 +144,7 @@ class DeliveryLog {
 
  private:
   RecycledVector<std::uint64_t> present_;  // 1 bit per chunk id, full stream
-  RecycledVector<TimePoint> at_;           // delivery times, ids >= base_
+  RingLog<TimePoint> at_;                  // delivery times, ids >= base_
   std::size_t base_ = 0;                // id of at_[0]
   std::size_t size_ = 0;                // chunks delivered, ever
 };

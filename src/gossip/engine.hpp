@@ -259,8 +259,9 @@ class Engine {
   /// propose phase — the chunk list is shared by all partners of that
   /// period instead of being copied per partner — and only the retention
   /// window is kept, so request validation scans a handful of records
-  /// indexed by period. Ring slots recycle their list capacity, so the
-  /// steady-state record path never allocates.
+  /// indexed by period. The window's RingLog pages construct and destroy
+  /// these elements; list spill blocks cycle through the SpillCache, so
+  /// the steady-state record path never allocates.
   struct SentProposal {
     PeriodIndex period = 0;
     TimePoint at{};

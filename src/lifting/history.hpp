@@ -24,19 +24,21 @@
 ///  * ConfirmAskerLog — who asked this node to confirm whose proposals;
 ///    polled by auditors to reconstruct F'_h (§5.3).
 ///
-/// Storage is flat (DESIGN.md §9). Each log keeps a RingLog of small
-/// fixed-size keys (time, proposer or period, run lengths), entries
+/// Storage is flat and paged (DESIGN.md §9). Each log keeps a RingLog of
+/// small fixed-size keys (time, proposer or period, run lengths), entries
 /// time-ordered with the oldest at the front, and the proposals' variable
 /// parts live back to back in rings: entry i's run follows entry i-1's.
 /// Chunk ids are stored as varint runs (detail::encode_run below): the ids
 /// of one proposal sit close together in the stream, so a run costs about
 /// one byte per id instead of four. An entry costs a 24-byte key plus its
-/// encoded run (at most 5 bytes per id), the witness scans walk keys and
-/// decode only the runs of the proposer asked about, and the window only
-/// ever evicts from the front and appends at the back, so once the rings
-/// have grown to the window's high water a node records its whole history
-/// without heap allocation. These rings hold plain keys, ids and bytes, so
-/// RingLog's slot-payload recycling contract does not concern them.
+/// encoded run (at most 5 bytes per id). The witness scans walk the keys
+/// page by page, newest first, and decode only the runs of the proposer
+/// asked about; a run may cross a page boundary, so run readers take it
+/// in page-contiguous pieces. The window only ever evicts from the front
+/// and appends at the back, so a log holds the pages its window touches
+/// and hands each page back to the thread's pool as pruning empties it.
+/// These rings hold plain keys, ids and bytes, so RingLog's slot-payload
+/// recycling contract does not concern them.
 
 namespace lifting {
 
@@ -46,10 +48,10 @@ namespace detail {
 template <typename T, typename Out>
 void append_run(const RingLog<T>& ring, std::size_t pos, std::size_t n,
                 Out& out) {
-  const auto [head, tail] = ring.spans(pos, n);
   out.reserve(out.size() + n);
-  out.insert(out.end(), head.begin(), head.end());
-  out.insert(out.end(), tail.begin(), tail.end());
+  ring.for_each_span(pos, n, [&](std::span<const T> piece) {
+    out.insert(out.end(), piece.begin(), piece.end());
+  });
 }
 
 /// Appends `ids` to `out`, in their own order, each as the zigzag LEB128
@@ -83,14 +85,13 @@ inline std::uint32_t encode_run(std::span<const ChunkId> ids,
 }
 
 /// Decodes the run encode_run wrote at bytes [pos, pos + bytes) of `ring`
-/// onto the end of `out`. A varint may straddle the ring's physical end.
+/// onto the end of `out`. A varint may straddle a page boundary.
 inline void decode_run(const RingLog<std::uint8_t>& ring, std::size_t pos,
                        std::size_t bytes, gossip::ChunkIdList& out) {
-  const auto [head, tail] = ring.spans(pos, bytes);
   std::int64_t prev = 0;
   std::uint64_t z = 0;
   unsigned shift = 0;
-  for (const auto piece : {head, tail}) {
+  ring.for_each_span(pos, bytes, [&](std::span<const std::uint8_t> piece) {
     for (const std::uint8_t b : piece) {
       z |= static_cast<std::uint64_t>(b & 0x7F) << shift;
       if ((b & 0x80) != 0) {
@@ -102,7 +103,7 @@ inline void decode_run(const RingLog<std::uint8_t>& ring, std::size_t pos,
       z = 0;
       shift = 0;
     }
-  }
+  });
 }
 
 }  // namespace detail
@@ -178,11 +179,11 @@ class ReceivedProposalLog {
   /// and must not be re-recorded (the duplicate-delivery idempotence
   /// contract, tests/test_faults.cpp).
   [[nodiscard]] bool has(NodeId from, PeriodIndex period) const {
-    for (std::size_t i = keys_.size(); i-- > 0;) {
-      const Key& k = keys_[i];
-      if (k.from == from && k.period == period) return true;
-    }
-    return false;
+    return keys_.scan_back([&](std::span<const Key> page) {
+      return std::any_of(page.rbegin(), page.rend(), [&](const Key& k) {
+        return k.from == from && k.period == period;
+      });
+    });
   }
 
   /// Does the log contain a proposal from `subject` (not older than
@@ -193,20 +194,22 @@ class ReceivedProposalLog {
                               TimePoint since) const {
     gossip::ChunkIdList run;
     std::size_t run_end = chunks_.size();
-    for (std::size_t i = keys_.size(); i-- > 0;) {
-      const Key& k = keys_[i];
-      if (k.at < since) break;  // entries are time-ordered
-      run_end -= k.chunks;
-      if (k.from != subject) continue;
-      run.clear();
-      detail::decode_run(chunks_, run_end, k.chunks, run);
-      const bool all =
-          std::all_of(chunks.begin(), chunks.end(), [&](ChunkId c) {
-            return std::find(run.begin(), run.end(), c) != run.end();
-          });
-      if (all) return true;
-    }
-    return false;
+    bool found = false;
+    keys_.scan_back([&](std::span<const Key> page) {
+      for (auto k = page.rbegin(); k != page.rend(); ++k) {
+        if (k->at < since) return true;  // entries are time-ordered
+        run_end -= k->chunks;
+        if (k->from != subject) continue;
+        run.clear();
+        detail::decode_run(chunks_, run_end, k->chunks, run);
+        found = std::all_of(chunks.begin(), chunks.end(), [&](ChunkId c) {
+          return std::find(run.begin(), run.end(), c) != run.end();
+        });
+        if (found) return true;
+      }
+      return false;
+    });
+    return found;
   }
 
   [[nodiscard]] std::size_t size() const noexcept { return keys_.size(); }

@@ -437,6 +437,53 @@ TEST(Playback, MeanLag) {
   EXPECT_DOUBLE_EQ(mean_delivery_lag(emitted, deliveries), 1.5);
 }
 
+TEST(DeliveryLog, CompactBeforeReleasesWholePages) {
+  constexpr std::uint32_t kPer = RingLog<TimePoint>::kPerPage;
+  DeliveryLog log;
+  const auto at = [](std::uint32_t id) {
+    return kSimEpoch + milliseconds(10) * id;
+  };
+  for (std::uint32_t i = 0; i < 10 * kPer; ++i) {
+    if (i % 7 != 3) log.record(ChunkId{i}, at(i));  // with gaps
+  }
+  const std::size_t delivered = log.size();
+  const std::size_t idle = detail::PagePool::idle_bytes();
+  // A fold line inside page 4: pages 0..3 are released, page 4 stays.
+  const std::uint32_t fold = 4 * kPer + kPer / 2;
+  log.compact_before(ChunkId{fold});
+  EXPECT_EQ(detail::PagePool::idle_bytes(), idle + 4 * kPageBytes);
+  EXPECT_EQ(log.window_base(), ChunkId{fold});
+  EXPECT_EQ(log.size(), delivered);
+  std::size_t folded = 0;
+  for (std::uint32_t i = 0; i < 10 * kPer; ++i) {
+    const ChunkId id{i};
+    ASSERT_EQ(log.contains(id), i % 7 != 3) << i;
+    if (i < fold && log.contains(id)) ++folded;
+    const TimePoint* t = log.find(id);
+    if (i < fold || i % 7 == 3) {
+      ASSERT_EQ(t, nullptr) << i;
+    } else {
+      ASSERT_NE(t, nullptr) << i;
+      EXPECT_EQ(*t, at(i));
+    }
+  }
+  std::size_t iterated = 0;
+  for (const auto& [id, t] : log) {
+    EXPECT_GE(id.value(), fold);
+    EXPECT_EQ(t, at(id.value()));
+    ++iterated;
+  }
+  EXPECT_EQ(iterated + folded, delivered);
+  // Folding past the retained window empties it; later deliveries land
+  // past the new base.
+  log.compact_before(ChunkId{12 * kPer});
+  EXPECT_EQ(detail::PagePool::idle_bytes(), idle + 10 * kPageBytes);
+  log.record(ChunkId{12 * kPer + 3}, at(5));
+  ASSERT_NE(log.find(ChunkId{12 * kPer + 3}), nullptr);
+  EXPECT_EQ(*log.find(ChunkId{12 * kPer + 3}), at(5));
+  EXPECT_EQ(log.find(ChunkId{12 * kPer}), nullptr);
+}
+
 TEST(StreamSource, EmitsAtConfiguredRate) {
   sim::Simulator sim;
   membership::Directory dir(2);

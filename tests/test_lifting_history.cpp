@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <cstdint>
 #include <deque>
+#include <memory>
+#include <thread>
 #include <vector>
 
+#include "../bench/alloc_tally.hpp"
 #include "common/ring_log.hpp"
 #include "common/rng.hpp"
 #include "lifting/history.hpp"
@@ -87,9 +90,8 @@ TEST(ConfirmAskerLog, CollectsAskersWithMultiplicity) {
 TEST(RingLog, WrapAroundKeepsFifoOrderAcrossGrowth) {
   RingLog<int> ring;
   int next = 0;
-  // Interleave pushes and pops so the live window straddles the physical
-  // end of the buffer repeatedly while the ring grows past its initial
-  // capacity.
+  // Interleave pushes and pops so the live window crosses a page
+  // boundary while the ring grows.
   std::vector<int> expect_front;
   for (int round = 0; round < 50; ++round) {
     for (int i = 0; i < 3; ++i) ring.push_slot() = next++;
@@ -102,25 +104,6 @@ TEST(RingLog, WrapAroundKeepsFifoOrderAcrossGrowth) {
   for (std::size_t i = 0; i < ring.size(); ++i) {
     EXPECT_EQ(ring[i], 50 + static_cast<int>(i));
   }
-}
-
-TEST(RingLog, RecycledSlotsKeepPayloadCapacity) {
-  RingLog<gossip::ChunkIdList> ring;
-  std::vector<ChunkId> big;
-  for (std::uint32_t i = 0; i < 100; ++i) big.push_back(ChunkId{i});
-  // Fill past the inline capacity so the slot's list spills to the heap.
-  ring.push_slot().assign(big.begin(), big.end());
-  const auto spilled = ring.front().capacity();
-  ASSERT_GE(spilled, 100u);
-  ring.pop_front();
-  // pop_front never destroys the slot; the next wrap-around push_slot
-  // hands the same storage back (refill with assign, never operator=).
-  for (std::size_t i = 0; i + 1 < ring.capacity(); ++i) {
-    ring.push_slot().assign(big.begin(), big.begin() + 1);
-    ring.pop_front();
-  }
-  gossip::ChunkIdList& recycled = ring.push_slot();
-  EXPECT_GE(recycled.capacity(), spilled);
 }
 
 TEST(SentProposalHistory, RingRetentionUnderPeriodicPruning) {
@@ -325,10 +308,11 @@ TEST(ChunkRunCodec, RoundTripsEveryShapeAcrossTheByteRingEnd) {
     const std::size_t pos = ring.size();
     const std::uint32_t bytes = encode(run);
     EXPECT_LE(bytes, 5 * run.size());
-    const auto [head, tail] = ring.spans(pos, bytes);
-    if (!head.empty() && !tail.empty()) ++straddled;
+    std::size_t pieces = 0;
+    ring.for_each_span(pos, bytes, [&](auto) { ++pieces; });
+    if (pieces > 1) ++straddled;
     live.emplace_back(std::move(run), bytes);
-    while (live.size() > 3) {  // keep the ring small so it wraps often
+    while (live.size() > 3) {  // keep the ring small so pages recycle often
       ring.pop_front(live.front().second);
       live.pop_front();
     }
@@ -445,26 +429,147 @@ TEST(SentProposalHistory, SnapshotRebuildsLongRuns) {
   EXPECT_EQ(pruned[0].chunks, chunks);
 }
 
-TEST(RingLog, AppendAndPopRunsAcrossTheWrap) {
+TEST(RingLog, FifoOrderAcrossPagesAndFullPageRecycle) {
+  constexpr std::size_t kPer = RingLog<int>::kPerPage;
   RingLog<int> ring;
-  const int run[] = {1, 2, 3, 4, 5};
-  ring.append(run, 5);  // capacity 8
-  ring.pop_front(4);
-  ring.append(run, 5);  // live [5, 1..5], physically split at the end
-  ASSERT_EQ(ring.size(), 6u);
-  EXPECT_EQ(ring.capacity(), 8u);
-  const auto [head, tail] = ring.spans(1, 5);
-  EXPECT_EQ(head.size() + tail.size(), 5u);
-  EXPECT_FALSE(tail.empty());
-  std::vector<int> joined(head.begin(), head.end());
-  joined.insert(joined.end(), tail.begin(), tail.end());
-  EXPECT_EQ(joined, std::vector<int>(run, run + 5));
-  ring.append(run, 5);  // grows past 8, linearizing the live entries
-  ASSERT_EQ(ring.size(), 11u);
-  EXPECT_EQ(ring.capacity(), 16u);
-  EXPECT_EQ(ring.front(), 5);
-  EXPECT_EQ(ring[1], 1);
-  EXPECT_EQ(ring.back(), 5);
+  int next = 0;
+  for (std::size_t i = 0; i < 3 * kPer + 5; ++i) ring.push_slot() = next++;
+  ASSERT_EQ(ring.pages(), 4u);  // three page boundaries crossed
+  for (std::size_t i = 0; i < ring.size(); ++i) {
+    ASSERT_EQ(ring[i], static_cast<int>(i));
+  }
+  const int* first_page = &ring.front();
+  const std::size_t idle = detail::PagePool::idle_bytes();
+  ring.pop_front(kPer - 1);
+  EXPECT_EQ(ring.pages(), 4u);  // the head page still holds one entry
+  ring.pop_front();
+  EXPECT_EQ(ring.pages(), 3u);  // emptied: back to the pool
+  EXPECT_EQ(detail::PagePool::idle_bytes(), idle + kPageBytes);
+  EXPECT_EQ(ring.front(), static_cast<int>(kPer));
+  // The tail page fills, and the next one is the page just released.
+  while (ring.size() < 3 * kPer) ring.push_slot() = next++;
+  ring.push_slot() = next++;
+  EXPECT_EQ(&ring.back(), first_page);
+  EXPECT_EQ(detail::PagePool::idle_bytes(), idle);
+  ASSERT_EQ(ring.size(), 3 * kPer + 1);
+  for (std::size_t i = 0; i < ring.size(); ++i) {
+    ASSERT_EQ(ring[i], static_cast<int>(kPer + i));
+  }
+}
+
+TEST(RingLog, AppendAndPopRunsStraddlePages) {
+  constexpr std::size_t kPer = RingLog<int>::kPerPage;
+  RingLog<int> ring;
+  std::vector<int> run(kPer + 10);
+  for (std::size_t i = 0; i < run.size(); ++i) run[i] = static_cast<int>(i);
+  ring.append(run.data(), kPer - 3);
+  ring.append(run.data(), 7);  // [kPer - 3, kPer + 4): straddles page 0|1
+  ASSERT_EQ(ring.pages(), 2u);
+  std::vector<std::size_t> pieces;
+  std::vector<int> joined;
+  ring.for_each_span(kPer - 3, 7, [&](std::span<const int> piece) {
+    pieces.push_back(piece.size());
+    joined.insert(joined.end(), piece.begin(), piece.end());
+  });
+  EXPECT_EQ(pieces, (std::vector<std::size_t>{3, 4}));
+  EXPECT_EQ(joined, std::vector<int>(run.begin(), run.begin() + 7));
+  ring.pop_front(kPer + 1);  // a pop run across the boundary frees page 0
+  EXPECT_EQ(ring.pages(), 1u);
+  EXPECT_EQ(ring.front(), 4);
+  ring.append(run.data(), run.size());  // longer than a page: three pieces
+  ASSERT_EQ(ring.size(), 3 + run.size());
+  EXPECT_EQ(ring.pages(), 2u);
+  std::vector<int> tail;
+  ring.for_each_span(3, run.size(), [&](std::span<const int> piece) {
+    tail.insert(tail.end(), piece.begin(), piece.end());
+  });
+  EXPECT_EQ(tail, run);
+  std::vector<int> newest_first;
+  ring.scan_back([&](std::span<const int> piece) {
+    newest_first.insert(newest_first.end(), piece.rbegin(), piece.rend());
+    return false;
+  });
+  ASSERT_EQ(newest_first.size(), ring.size());
+  EXPECT_EQ(newest_first.front(), run.back());
+  EXPECT_EQ(newest_first.back(), 4);
+}
+
+TEST(ChunkRunCodec, DecodesAVarintSplitAcrossPages) {
+  RingLog<std::uint8_t> ring;
+  const std::vector<std::uint8_t> pad(kPageBytes - 2, 0);
+  ring.append(pad.data(), pad.size());
+  // 0 -> 0xFFFFFFFF is a 5-byte varint; it starts 2 bytes before the end
+  // of the first page and finishes 3 bytes into the second.
+  const gossip::ChunkIdList run{ChunkId{0xFFFFFFFF}, ChunkId{7}};
+  const std::size_t pos = ring.size();
+  const std::uint32_t bytes = detail::encode_run(run, ring);
+  ASSERT_EQ(bytes, 10u);
+  ASSERT_EQ(ring.pages(), 2u);
+  gossip::ChunkIdList got;
+  detail::decode_run(ring, pos, bytes, got);
+  EXPECT_EQ(got, run);
+  ring.pop_front(pad.size());  // the codec works from any head offset
+  got.clear();
+  detail::decode_run(ring, 0, bytes, got);
+  EXPECT_EQ(got, run);
+}
+
+TEST(RingLog, CyclingRingsHoldConstantPagesWithoutAllocating) {
+  // Two rings of different element types fill and drain once per
+  // generation. The pool hands pages back newest first, so each
+  // generation's ints take the pages the lists released last time: any
+  // page serves either ring. The list ring keeps spilled payloads, which
+  // go back to the SpillCache when their page is released and come out of
+  // it when a page is constructed again.
+  RingLog<int> ints;
+  RingLog<gossip::ChunkIdList> lists;
+  std::vector<ChunkId> big;
+  for (std::uint32_t i = 0; i < 100; ++i) big.push_back(ChunkId{i});
+  // Whole pages per generation: a drained ring then keeps no head page,
+  // and every generation starts from the same page alignment.
+  constexpr std::size_t kInts = 8 * RingLog<int>::kPerPage;
+  constexpr std::size_t kLists = 13 * RingLog<gossip::ChunkIdList>::kPerPage;
+  std::vector<std::size_t> held;
+  held.reserve(32);
+  const auto generation = [&] {
+    for (std::size_t i = 0; i < kInts; ++i) ints.push_slot() = int(i);
+    for (std::size_t i = 0; i < kLists; ++i) {
+      lists.push_slot().assign(big.begin(), big.end());  // spills
+    }
+    held.push_back(ints.pages() + lists.pages());
+    if (lists.back() != gossip::ChunkIdList(big.begin(), big.end())) {
+      held.push_back(0);  // fails the comparison below
+    }
+    ints.pop_front(kInts);
+    lists.pop_front(kLists);
+  };
+  generation();  // grows the pool, the page tables and the caches
+  const std::size_t idle = detail::PagePool::idle_bytes();
+  const auto start = bench::AllocSnapshot::now();
+  for (int g = 0; g < 20; ++g) generation();
+  const auto cost = bench::AllocSnapshot::now().delta_since(start);
+  EXPECT_EQ(cost.calls, 0u);
+  EXPECT_EQ(detail::PagePool::idle_bytes(), idle);
+  EXPECT_EQ(held, std::vector<std::size_t>(21, held.front()));
+  EXPECT_EQ(held.front(), 21u);
+}
+
+TEST(RingLog, PagesOutliveTheThreadThatTookThem) {
+  // A runner lane may destroy an Experiment another thread built: its
+  // pages must stay valid after that thread and its pool are gone.
+  std::unique_ptr<RingLog<std::uint64_t>> ring;
+  std::thread lane([&] {
+    ring = std::make_unique<RingLog<std::uint64_t>>();
+    for (std::uint64_t i = 0; i < 1000; ++i) ring->push_slot() = i;
+    ring->pop_front(200);  // some pages go to the lane's pool, then die
+  });
+  lane.join();
+  ASSERT_EQ(ring->size(), 800u);
+  for (std::size_t i = 0; i < ring->size(); ++i) {
+    ASSERT_EQ((*ring)[i], 200 + i);
+  }
+  ring->pop_front(800);  // into this thread's pool
+  ring.reset();
 }
 
 }  // namespace
