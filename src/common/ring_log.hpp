@@ -16,16 +16,18 @@
 ///
 /// This is the storage behind every windowed per-node structure: the
 /// accountability histories (src/lifting/history.hpp), the engine's
-/// sent-proposal window and the DeliveryLog's time table
-/// (src/gossip/chunk.hpp). Each holds a sliding window, so its memory
-/// should track the window, not how the window grew.
+/// sent-proposal window, fresh-chunk list and pending-request table, and
+/// the DeliveryLog's time table (src/gossip/chunk.hpp). Each holds a
+/// sliding window, so its memory should track the window, not how the
+/// window grew.
 ///
 /// A ring is a table of fixed-size pages (kPageBytes) taken from one
 /// thread-local pool. Appending at the tail takes a page when the last one
 /// is full; popping the head past a page's end returns that page to the
-/// pool. Nothing is ever copied into a larger block, so growth strands no
-/// memory: a page another ring released serves the next grower, whatever
-/// its element type. Entries never move while they are live.
+/// pool, and so does popping the tail (pop_back) out of a page. Nothing is
+/// ever copied into a larger block, so growth strands no memory: a page
+/// another ring released serves the next grower, whatever its element
+/// type. Entries never move while they are live.
 ///
 /// Elements are constructed when their page is taken and destroyed when
 /// it is released (for trivially copyable elements both are no-ops). A
@@ -42,9 +44,9 @@
 
 namespace lifting {
 
-/// Page size of every RingLog, measured (DESIGN.md §9): a 256 B page
-/// cannot hold the engine's 280 B window entries, and 1024 B pages leave
-/// more of each small log's head and tail pages empty.
+/// Page size of every RingLog, measured (DESIGN.md §9): 512 B read lowest
+/// on the full-window rows, and 1024 B pages leave more of each small
+/// log's head and tail pages empty.
 inline constexpr std::size_t kPageBytes = 512;
 
 namespace detail {
@@ -175,6 +177,19 @@ class RingLog {
     const std::size_t done = head_ / kPerPage;
     release_front(done);
     head_ -= done * kPerPage;
+  }
+
+  /// Drops the `n` newest entries; tail pages left with no live entry go
+  /// back to the pool.
+  void pop_back(std::size_t n = 1) noexcept {
+    LIFTING_ASSERT(n <= size_, "pop_back past the front of a RingLog");
+    size_ -= n;
+    const std::size_t used = (head_ + size_ + kPerPage - 1) / kPerPage;
+    for (std::size_t i = used; i < pages_.size(); ++i) {
+      std::destroy_n(pages_[i], kPerPage);
+      detail::PagePool::put(pages_[i]);
+    }
+    pages_.resize(std::min(used, pages_.size()));
   }
 
   /// Calls `f(std::span<const T>)` on the live range [pos, pos + n), one

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -24,13 +25,17 @@ struct ChunkMeta {
   TimePoint emitted_at;  // when the source injected it
 };
 
-/// A small set of chunk ids — proposals, requests and serve batches are all
-/// chunk-id sets of size ~|P| or ~|R| (single digits to tens). Inline
-/// capacity 32 covers the steady state including the planetlab preset's
-/// |P| ≈ 28 chunks/period, so building and moving these lists is
-/// allocation-free on the gossip hot path (with 4-byte ChunkIds the inline
-/// buffer costs the same 128 bytes the old 16×8 layout did).
-using ChunkIdList = SmallVector<ChunkId, 32>;
+/// A small set of chunk ids — proposals, requests, acks and serve batches
+/// are all chunk-id sets of size ~|P| or ~|R| (single digits to tens).
+/// The inline buffer is paid by every Message in flight (the variant is as
+/// large as its largest list-carrying alternative) and by every engine
+/// window entry, so it is sized to the small lists, not the largest ones.
+/// On the planetlab preset 8 ids inline hold about two thirds of the
+/// requests and acks and 83% of the confirm requests; a typical proposal
+/// (|P| ≈ 28 ids) spills to a 128 B SpillCache block, which keeps the
+/// gossip hot path allocation-free in steady state. 8 was measured
+/// against 4, 16 and 32 (DESIGN.md §9).
+using ChunkIdList = SmallVector<ChunkId, 8>;
 
 /// First-delivery times of the chunks a node received (or injected).
 ///
@@ -147,6 +152,87 @@ class DeliveryLog {
   RingLog<TimePoint> at_;                  // delivery times, ids >= base_
   std::size_t base_ = 0;                // id of at_[0]
   std::size_t size_ = 0;                // chunks delivered, ever
+};
+
+/// A node's outstanding chunk requests: (chunk, deadline) entries on
+/// RingLog pages, at most one per chunk, in no particular order. add()
+/// appends the chunk's entry after dropping its old one and every entry
+/// expired at `now` (an expired entry answers "requestable" just as an
+/// absent one does, so dropping it changes no outcome). A serve moves the
+/// last entry into the served one's slot. So the ring holds only the
+/// requests still outstanding — a served one leaves at once, a lost one
+/// at the first add() after its deadline — and its pages track that
+/// count, not its all-time high-water.
+class PendingRequests {
+ public:
+  /// Deadline of the request for `id`; TimePoint::min() when the chunk
+  /// was never requested or its request was served. The chunk is
+  /// requestable again once this is <= now.
+  [[nodiscard]] TimePoint deadline(ChunkId id) const noexcept {
+    TimePoint until = TimePoint::min();
+    entries_.scan_back([&](std::span<const Entry> page) {
+      for (const Entry& e : page) {
+        if (e.chunk == id) {
+          until = e.until;
+          return true;
+        }
+      }
+      return false;
+    });
+    return until;
+  }
+
+  /// Records a request for `id` expiring at `until`.
+  void add(ChunkId id, TimePoint until, TimePoint now) {
+    // One read-only pass decides; the rewrite below runs only when an
+    // entry expired or `id` is being re-requested, which most calls skip.
+    bool stale = false;
+    entries_.scan_back([&](std::span<const Entry> page) {
+      for (const Entry& e : page) {
+        if (e.chunk == id || e.until <= now) stale = true;
+      }
+      return stale;
+    });
+    if (stale) {
+      std::size_t keep = 0;
+      for (std::size_t i = 0; i < entries_.size(); ++i) {
+        const Entry e = entries_[i];
+        if (e.chunk != id && e.until > now) entries_[keep++] = e;
+      }
+      entries_.pop_back(entries_.size() - keep);
+    }
+    entries_.push_slot() = Entry{id, until};
+  }
+
+  /// A serve of `id` arrived: its request is no longer outstanding.
+  void clear(ChunkId id) noexcept {
+    std::size_t end = entries_.size();
+    std::size_t at = end;
+    entries_.scan_back([&](std::span<const Entry> page) {
+      end -= page.size();
+      for (std::size_t j = 0; j < page.size(); ++j) {
+        if (page[j].chunk == id) {
+          at = end + j;
+          return true;
+        }
+      }
+      return false;
+    });
+    if (at == entries_.size()) return;
+    entries_[at] = entries_.back();
+    entries_.pop_back();
+  }
+
+  /// Entries held, expired ones not yet dropped included.
+  [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
+  [[nodiscard]] std::size_t pages() const noexcept { return entries_.pages(); }
+
+ private:
+  struct Entry {
+    ChunkId chunk;
+    TimePoint until;
+  };
+  RingLog<Entry> entries_;
 };
 
 }  // namespace lifting::gossip

@@ -9,6 +9,20 @@
 
 namespace lifting::gossip {
 
+namespace {
+
+/// The served-partner bitmask of a sent proposal has one bit per partner.
+constexpr std::size_t kMaxFanout = 32;
+
+/// One served chunk owed an ack: (ack target, receive seq, chunk).
+struct AckRow {
+  NodeId target{};
+  std::uint32_t seq = 0;
+  ChunkId chunk{};
+};
+
+}  // namespace
+
 Engine::Engine(sim::Simulator& sim, Mailer& mailer,
                membership::Directory& directory, NodeId self,
                GossipParams params, BehaviorSpec behavior, Pcg32 rng,
@@ -22,6 +36,7 @@ Engine::Engine(sim::Simulator& sim, Mailer& mailer,
       rng_(rng),
       observer_(observer) {
   require(params_.fanout >= 1, "fanout must be >= 1");
+  require(params_.fanout <= kMaxFanout, "fanout must be <= 32");
   require(params_.period > Duration::zero(), "gossip period must be positive");
   if (behavior_.collusion.has_value()) {
     require(behavior_.collusion->bias_pm >= 0.0 &&
@@ -71,8 +86,8 @@ void Engine::add_chunk(ChunkId id, std::uint32_t payload_bytes) {
 void Engine::inject_chunk(const ChunkMeta& chunk) {
   if (has_chunk(chunk.id)) return;
   add_chunk(chunk.id, chunk.payload_bytes);
-  fresh_.push_back(FreshChunk{chunk.id, self_, /*has_origin=*/false,
-                              chunk.payload_bytes});
+  fresh_.push_slot() = FreshChunk{chunk.id, self_, /*has_origin=*/false,
+                                  chunk.payload_bytes};
 }
 
 void Engine::handle(NodeId from, const Message& message) {
@@ -130,7 +145,7 @@ void Engine::handle_propose(NodeId from, const ProposeMsg& msg) {
     std::sort(needed.begin(), needed.end());
   }
   for (const auto chunk : needed) {
-    set_pending(chunk, now + params_.request_timeout);
+    pending_.add(chunk, now + params_.request_timeout, now);
   }
   ++stats_.requests_sent;
   if (trace_ != nullptr) {
@@ -150,13 +165,16 @@ void Engine::handle_request(NodeId from, const RequestMsg& msg) {
   // period (one per propose phase, newest last), so the lookup scans a
   // handful of records from the most recent backwards.
   SentProposal* match = nullptr;
+  std::uint32_t partner_bit = 0;
   for (std::size_t i = sent_proposals_.size(); i-- > 0;) {
     SentProposal& rec = sent_proposals_[i];
     if (rec.period < msg.period) break;
     if (rec.period == msg.period) {
-      if (std::find(rec.partners.begin(), rec.partners.end(), from) !=
-          rec.partners.end()) {
+      const auto it =
+          std::find(rec.partners.begin(), rec.partners.end(), from);
+      if (it != rec.partners.end()) {
         match = &rec;
+        partner_bit = 1U << (it - rec.partners.begin());
       }
       break;
     }
@@ -165,8 +183,7 @@ void Engine::handle_request(NodeId from, const RequestMsg& msg) {
     ++stats_.invalid_requests;
     return;
   }
-  if (std::find(match->served.begin(), match->served.end(), from) !=
-      match->served.end()) {
+  if ((match->served & partner_bit) != 0) {
     // Transport-duplicated request: the batch already went out. Serving
     // again would waste uplink and (for partial-serve behaviors) draw rng
     // on a duplicate arrival.
@@ -181,7 +198,7 @@ void Engine::handle_request(NodeId from, const RequestMsg& msg) {
     }
   }
   if (valid.empty()) return;
-  match->served.push_back(from);
+  match->served |= partner_bit;
 
   // Attack: partial serve — serve only (1-δ3)·|R| of the valid request.
   std::size_t serve_count = valid.size();
@@ -241,10 +258,9 @@ void Engine::handle_serve(NodeId from, const ServeMsg& msg) {
                    msg.chunk.value());
   }
   add_chunk(msg.chunk, msg.payload_bytes);
-  clear_pending(msg.chunk);
-  fresh_.push_back(
-      FreshChunk{msg.chunk, msg.ack_to, /*has_origin=*/true,
-                 msg.payload_bytes});
+  pending_.clear(msg.chunk);
+  fresh_.push_slot() = FreshChunk{msg.chunk, msg.ack_to, /*has_origin=*/true,
+                                  msg.payload_bytes};
   ++stats_.chunks_received;
   if (observer_ != nullptr) {
     observer_->on_serve_received(from, msg.ack_to, msg.period, msg.chunk);
@@ -296,50 +312,16 @@ void Engine::pick_partners_into(std::size_t count, std::vector<NodeId>& out) {
                                sample_index_scratch_, out);
 }
 
-void Engine::set_pending(ChunkId id, TimePoint until) {
-  // One pass: refresh the chunk's entry if present and sweep out expired
-  // deadlines (they already answer "re-requestable", dropping them changes
-  // no observable outcome). The list stays at ~|P| live entries.
-  const TimePoint now = sim_.now();
-  std::size_t keep = 0;
-  bool updated = false;
-  for (std::size_t i = 0; i < pending_.size(); ++i) {
-    PendingRequest p = pending_[i];
-    if (p.chunk == id) {
-      p.until = until;
-      updated = true;
-    } else if (p.until <= now) {
-      continue;
-    }
-    pending_[keep++] = p;
-  }
-  pending_.resize(keep);
-  if (!updated) pending_.push_back(PendingRequest{id, until});
-}
-
-void Engine::clear_pending(ChunkId id) {
-  for (std::size_t i = 0; i < pending_.size(); ++i) {
-    if (pending_[i].chunk == id) {
-      pending_[i] = pending_.back();
-      pending_.pop_back();
-      return;
-    }
-  }
-}
-
 void Engine::propose_phase() {
   if (!running_) return;
   ++period_;
   prune_sent_proposals();
 
-  // Collect the chunks received since the last propose phase; infect-and-die
-  // means each chunk is proposed in exactly one phase (§3). The swap with a
-  // member scratch keeps both buffers' capacity across periods.
-  fresh_scratch_.clear();
-  fresh_scratch_.swap(fresh_);
-  const RecycledVector<FreshChunk>& fresh = fresh_scratch_;
-
-  if (!fresh.empty()) {
+  // Propose the chunks received since the last propose phase, then forget
+  // them: infect-and-die means each chunk is proposed in exactly one phase
+  // (§3). Nothing the phase does delivers a serve synchronously, so fresh_
+  // is read in place.
+  if (!fresh_.empty()) {
     // Attack: partial propose — drop the chunks received from a fraction δ2
     // of this period's servers (whole servers: the blame-minimizing choice,
     // §6.3.1 footnote). The dropped set is the shuffled prefix of the
@@ -348,7 +330,8 @@ void Engine::propose_phase() {
     servers_scratch_.clear();
     if (behavior_.delta_propose > 0.0) {
       RecycledVector<NodeId>& servers = servers_scratch_;
-      for (const auto& c : fresh) {
+      for (std::size_t i = 0; i < fresh_.size(); ++i) {
+        const FreshChunk& c = fresh_[i];
         if (c.has_origin &&
             std::find(servers.begin(), servers.end(), c.ack_to) ==
                 servers.end()) {
@@ -369,8 +352,9 @@ void Engine::propose_phase() {
     };
 
     ChunkIdList proposal;
-    proposal.reserve(fresh.size());
-    for (const auto& c : fresh) {
+    proposal.reserve(fresh_.size());
+    for (std::size_t i = 0; i < fresh_.size(); ++i) {
+      const FreshChunk& c = fresh_[i];
       if (c.has_origin && is_dropped(c.ack_to)) continue;
       proposal.push_back(c.id);
     }
@@ -387,12 +371,14 @@ void Engine::propose_phase() {
       pick_partners_into(fanout, partners_scratch_);
       const std::vector<NodeId>& partners = partners_scratch_;
       if (!proposal.empty()) {
+        LIFTING_ASSERT(partners.size() <= kMaxFanout,
+                       "more partners than the served bitmask holds");
         SentProposal& rec = sent_proposals_.push_slot();
         rec.period = period_;
+        rec.served = 0;  // recycled slot: forget the old period's serves
         rec.at = sim_.now();
         rec.chunks.assign(proposal.begin(), proposal.end());
         rec.partners.assign(partners.begin(), partners.end());
-        rec.served.clear();  // recycled slot: forget the old period's serves
         mailer_.send_many(self_, partners, sim::Channel::kDatagram,
                           ProposeMsg{period_, proposal});
         ++stats_.proposals_sent;
@@ -434,18 +420,18 @@ void Engine::propose_phase() {
         }
       }
 
-      send_acks(period_, fresh, claimed);
+      send_acks(period_, claimed);
       if (observer_ != nullptr) {
         observer_->on_proposal_sent(period_, claimed, partners, proposal);
       }
     }
   }
 
+  fresh_.clear();
   schedule_next_phase();
 }
 
 void Engine::send_acks(PeriodIndex period,
-                       const RecycledVector<FreshChunk>& fresh,
                        const std::vector<NodeId>& claimed_partners) {
   if (!params_.emit_acks) return;
   // Group the served chunks by acknowledgment target. A freerider's ack
@@ -453,36 +439,39 @@ void Engine::send_acks(PeriodIndex period,
   // (δ2) would be self-incriminating; the lie is only caught by the
   // witnesses' contradictory testimonies (§5.2).
   //
-  // Grouping sorts (target, seq, chunk) rows in a reusable scratch
-  // buffer: acks go out in ascending target-id order with each one's
-  // chunks in receive order (the seq ties the sort to append order — a
-  // total order, so plain std::sort reproduces what a stable sort by
-  // target alone would, without stable_sort's temporary buffer) and the
-  // period's last heap allocation is gone — the hash map this replaces
-  // allocated per phase *and* iterated in stdlib-dependent order.
-  ack_scratch_.clear();
+  // Grouping sorts (target, seq, chunk) rows: acks go out in ascending
+  // target-id order with each one's chunks in receive order (the seq ties
+  // the sort to append order — a total order, so plain std::sort
+  // reproduces what a stable sort by target alone would, without
+  // stable_sort's temporary buffer). The rows live in one buffer per
+  // thread, shared by every engine on it: it grows to the largest phase
+  // the thread has seen, then the ack path is allocation-free. A plain
+  // std::vector, so its destruction at thread exit does not depend on the
+  // SpillCache's.
+  thread_local std::vector<AckRow> rows;
+  rows.clear();
   const TimePoint ack_now = sim_.now();
-  for (const auto& c : fresh) {
+  for (std::size_t i = 0; i < fresh_.size(); ++i) {
+    const FreshChunk& c = fresh_[i];
     if (!c.has_origin) continue;  // source-injected: nobody to acknowledge
     // View-aware liveness: a laggard keeps acking a server it believes
     // alive (the datagram vanishes at the dead endpoint).
     if (c.ack_to == self_ || !directory_.sees(self_, c.ack_to, ack_now)) {
       continue;
     }
-    ack_scratch_.push_back(
-        {c.ack_to, static_cast<std::uint32_t>(ack_scratch_.size()), c.id});
+    rows.push_back({c.ack_to, static_cast<std::uint32_t>(rows.size()), c.id});
   }
-  std::sort(ack_scratch_.begin(), ack_scratch_.end(),
+  std::sort(rows.begin(), rows.end(),
             [](const AckRow& a, const AckRow& b) {
               if (a.target != b.target) return a.target < b.target;
               return a.seq < b.seq;
             });
-  for (std::size_t i = 0; i < ack_scratch_.size();) {
+  for (std::size_t i = 0; i < rows.size();) {
     AckMsg ack;
     ack.period = period;
-    const NodeId target = ack_scratch_[i].target;
-    for (; i < ack_scratch_.size() && ack_scratch_[i].target == target; ++i) {
-      ack.chunks.push_back(ack_scratch_[i].chunk);
+    const NodeId target = rows[i].target;
+    for (; i < rows.size() && rows[i].target == target; ++i) {
+      ack.chunks.push_back(rows[i].chunk);
     }
     ack.partners.assign(claimed_partners.begin(), claimed_partners.end());
     mailer_.send(self_, target, sim::Channel::kDatagram, std::move(ack));

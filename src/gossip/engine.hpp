@@ -177,6 +177,16 @@ class Engine {
   void reserve_stream_chunks(std::size_t chunks) {
     delivery_log_.reserve_stream(chunks);
   }
+  /// Deadline of the outstanding request for `id`, or TimePoint::min()
+  /// when none is live (the chunk is requestable once this is <= now).
+  [[nodiscard]] TimePoint pending_deadline(ChunkId id) const {
+    return pending_.deadline(id);
+  }
+  /// Pages held by the per-period tables: fresh chunks, pending requests
+  /// and the sent-proposal window.
+  [[nodiscard]] std::size_t period_state_pages() const noexcept {
+    return fresh_.pages() + pending_.pages() + sent_proposals_.pages();
+  }
   [[nodiscard]] const EngineStats& stats() const noexcept { return stats_; }
   [[nodiscard]] PeriodIndex current_period() const noexcept { return period_; }
   [[nodiscard]] NodeId self() const noexcept { return self_; }
@@ -200,7 +210,6 @@ class Engine {
   void handle_request(NodeId from, const RequestMsg& msg);
   void handle_serve(NodeId from, const ServeMsg& msg);
   void send_acks(PeriodIndex period,
-                 const RecycledVector<FreshChunk>& fresh,
                  const std::vector<NodeId>& claimed_partners);
   void pick_partners_into(std::size_t count, std::vector<NodeId>& out);
   [[nodiscard]] NodeId choose_ack_target();
@@ -212,14 +221,6 @@ class Engine {
     }
     return default_payload_;
   }
-  [[nodiscard]] TimePoint pending_deadline(ChunkId id) const {
-    for (const auto& p : pending_) {
-      if (p.chunk == id) return p.until;
-    }
-    return TimePoint::min();
-  }
-  void set_pending(ChunkId id, TimePoint until);
-  void clear_pending(ChunkId id);
   void prune_sent_proposals();
 
   sim::Simulator& sim_;
@@ -246,49 +247,37 @@ class Engine {
   DeliveryLog delivery_log_;
   std::uint32_t default_payload_ = kNotHeld;  // set by the first add_chunk
   RecycledVector<std::pair<ChunkId, std::uint32_t>> payload_exceptions_;
-  /// Outstanding requests awaiting a serve: a flat list of live deadlines
-  /// (~|P| entries, lazily swept) instead of a dense per-chunk table that
-  /// grew with the stream length.
-  struct PendingRequest {
-    ChunkId chunk;
-    TimePoint until;
-  };
-  RecycledVector<PendingRequest> pending_;
-  RecycledVector<FreshChunk> fresh_;
+  /// Outstanding requests awaiting a serve, on pages (served and expired
+  /// requests leave the table).
+  PendingRequests pending_;
+  /// Chunks received since the last propose phase, in receive order. The
+  /// phase reads them in place and then clears the ring, so its pages go
+  /// back to the pool between periods (infect-and-die: §3).
+  RingLog<FreshChunk> fresh_;
   /// Proposals we sent, newest last, for request validation. One record per
   /// propose phase — the chunk list is shared by all partners of that
   /// period instead of being copied per partner — and only the retention
   /// window is kept, so request validation scans a handful of records
   /// indexed by period. The window's RingLog pages construct and destroy
   /// these elements; list spill blocks cycle through the SpillCache, so
-  /// the steady-state record path never allocates.
+  /// the steady-state record path never allocates. An entry is 128 B, four
+  /// to a page.
   struct SentProposal {
     PeriodIndex period = 0;
+    /// Bit i set: partners[i] was already served this period. A request is
+    /// answered once: a transport-duplicated request must not re-serve (or
+    /// re-draw a partial-serve behavior's rng) — the duplicate-delivery
+    /// idempotence contract (tests/test_faults.cpp).
+    std::uint32_t served = 0;
     TimePoint at{};
     ChunkIdList chunks;
     SmallVector<NodeId, 8> partners;
-    /// Partners already served this period. A request is answered once: a
-    /// transport-duplicated request must not re-serve (or re-draw a
-    /// partial-serve behavior's rng) — the duplicate-delivery idempotence
-    /// contract (tests/test_faults.cpp).
-    SmallVector<NodeId, 8> served;
   };
+  static_assert(RingLog<SentProposal>::kPerPage >= 4);
   RingLog<SentProposal> sent_proposals_;
-  /// Reusable (ack target, append seq, chunk) scratch for send_acks'
-  /// grouping sort — grows once, then the per-period ack path is
-  /// allocation-free. The seq makes (target, seq) a total order, so an
-  /// in-place std::sort yields the same target-major / receive-order-minor
-  /// grouping a stable sort by target would, without its temp buffer.
-  struct AckRow {
-    NodeId target{};
-    std::uint32_t seq = 0;
-    ChunkId chunk{};
-  };
-  RecycledVector<AckRow> ack_scratch_;
   /// Propose-phase scratch buffers (capacity retained across periods so the
   /// steady-state phase is allocation-free; see bench_sweep_scaling's
   /// zero-allocation delta row).
-  RecycledVector<FreshChunk> fresh_scratch_;
   std::vector<NodeId> partners_scratch_;
   std::vector<NodeId> claimed_scratch_;
   std::vector<NodeId> rps_pool_scratch_;

@@ -23,6 +23,17 @@ TEST(Codec, ProposeRoundTrip) {
   EXPECT_EQ(out.chunks, m.chunks);
 }
 
+TEST(Codec, SpilledProposeRoundTrip) {
+  // A planetlab-sized proposal (28 ids) spills past ChunkIdList's inline
+  // capacity on both sides of the codec.
+  gossip::ProposeMsg m{42, {}};
+  for (std::uint32_t i = 0; i < 28; ++i) m.chunks.push_back(ChunkId{500 + 3 * i});
+  ASSERT_GT(m.chunks.size(), gossip::ChunkIdList{}.capacity());
+  const auto out = roundtrip(m);
+  EXPECT_EQ(out.period, m.period);
+  EXPECT_EQ(out.chunks, m.chunks);
+}
+
 TEST(Codec, RequestRoundTrip) {
   gossip::RequestMsg m{7, {ChunkId{3}}};
   const auto out = roundtrip(m);

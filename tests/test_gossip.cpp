@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
+#include "../bench/alloc_tally.hpp"
 #include "common/rng.hpp"
 #include "gossip/engine.hpp"
 #include "gossip/mailer.hpp"
@@ -57,6 +60,41 @@ class GossipFixture {
   sim::Network<Message> network_;
   Mailer mailer_;
   std::vector<std::unique_ptr<Engine>> engines_;
+};
+
+/// One engine (node 0) among passive peers. The test drives node 0
+/// through Engine::handle and sees what reaches the peers through
+/// `on_peer`. Links have no jitter, so messages sent at one instant arrive
+/// in send order.
+struct SoloEngine {
+  explicit SoloEngine(std::uint32_t n, GossipParams params = {})
+      : dir(n),
+        net(sim, Pcg32{910}),
+        mailer(net, nullptr),
+        engine(sim, mailer, dir, NodeId{0}, params, BehaviorSpec::honest(),
+               Pcg32{12}, nullptr) {
+    sim::LinkProfile link = GossipFixture::perfect_link();
+    link.latency_jitter = Duration::zero();
+    net.add_node(NodeId{0}, link, [this](const sim::Delivery<Message>& d) {
+      engine.handle(d.from, d.payload);
+    });
+    for (std::uint32_t i = 1; i < n; ++i) {
+      net.add_node(NodeId{i}, link, [this](const sim::Delivery<Message>& d) {
+        if (on_peer) on_peer(d);
+      });
+    }
+  }
+
+  void serve(NodeId from, ChunkId chunk, NodeId ack_to) {
+    engine.handle(from, Message{ServeMsg{1, chunk, 1000, ack_to}});
+  }
+
+  sim::Simulator sim;
+  membership::Directory dir;
+  sim::Network<Message> net;
+  Mailer mailer;
+  Engine engine;
+  std::function<void(const sim::Delivery<Message>&)> on_peer;
 };
 
 TEST(WireSize, GrowsWithContent) {
@@ -350,6 +388,260 @@ TEST(Engine, PartialProposeDropsServersButAcksClaimTheirChunks) {
   EXPECT_EQ(proposals, 0);  // the only fresh chunk's server was dropped
   ASSERT_EQ(acks.size(), 1u);  // ...but the server still got a lying ack
   EXPECT_EQ(acks[0].chunks, ChunkIdList{ChunkId{7}});
+}
+
+TEST(Engine, AcksGoOutByTargetWithChunksInReceiveOrder) {
+  // Serves from three servers arrive interleaved. The propose phase acks
+  // each server once, in ascending server order, listing its chunks in
+  // the order they arrived. A source-injected chunk, a chunk whose ack
+  // target is the node itself and one whose target the node no longer
+  // sees owe no ack.
+  GossipParams params;
+  params.fanout = 3;
+  SoloEngine rig(10, params);
+  std::vector<std::pair<NodeId, AckMsg>> acks;
+  std::vector<NodeId> partners;
+  rig.on_peer = [&](const sim::Delivery<Message>& d) {
+    if (const auto* ack = std::get_if<AckMsg>(&d.payload)) {
+      acks.emplace_back(d.to, *ack);
+    } else if (std::holds_alternative<ProposeMsg>(d.payload)) {
+      partners.push_back(d.to);
+    }
+  };
+  rig.dir.leave(NodeId{8});
+  const NodeId order[] = {NodeId{7}, NodeId{2}, NodeId{5}, NodeId{2},
+                          NodeId{7}, NodeId{5}, NodeId{2}};
+  for (std::uint32_t i = 0; i < 7; ++i) {
+    rig.serve(order[i], ChunkId{10 + i}, order[i]);
+    if (i == 3) {
+      rig.engine.inject_chunk(ChunkMeta{ChunkId{20}, 1000, rig.sim.now()});
+      rig.serve(NodeId{3}, ChunkId{17}, NodeId{0});  // ack to self
+      rig.serve(NodeId{4}, ChunkId{18}, NodeId{8});  // target not seen
+    }
+  }
+  rig.engine.start(milliseconds(1));
+  rig.sim.run_until(rig.sim.now() + milliseconds(100));
+
+  ASSERT_EQ(acks.size(), 3u);
+  EXPECT_EQ(acks[0].first, NodeId{2});
+  EXPECT_EQ(acks[0].second.chunks,
+            (ChunkIdList{ChunkId{11}, ChunkId{13}, ChunkId{16}}));
+  EXPECT_EQ(acks[1].first, NodeId{5});
+  EXPECT_EQ(acks[1].second.chunks, (ChunkIdList{ChunkId{12}, ChunkId{15}}));
+  EXPECT_EQ(acks[2].first, NodeId{7});
+  EXPECT_EQ(acks[2].second.chunks, (ChunkIdList{ChunkId{10}, ChunkId{14}}));
+  ASSERT_EQ(partners.size(), 3u);
+  for (const auto& [target, ack] : acks) {
+    EXPECT_EQ(ack.period, 1u);
+    EXPECT_EQ(std::vector<NodeId>(ack.partners.begin(), ack.partners.end()),
+              partners);
+  }
+}
+
+TEST(PendingRequests, HoldOnlyOutstandingRequests) {
+  const Duration timeout = milliseconds(500);
+  const TimePoint t0 = kSimEpoch + seconds(1.0);
+  const ChunkId a{1};
+  const ChunkId b{2};
+  const ChunkId c{3};
+  PendingRequests pending;
+  EXPECT_EQ(pending.deadline(a), TimePoint::min());
+  pending.add(a, t0 + timeout, t0);
+  pending.add(b, t0 + timeout, t0);
+  EXPECT_EQ(pending.deadline(a), t0 + timeout);
+  EXPECT_EQ(pending.deadline(c), TimePoint::min());
+
+  // A serve clears its entry; the other request stays outstanding.
+  pending.clear(a);
+  EXPECT_EQ(pending.deadline(a), TimePoint::min());
+  EXPECT_EQ(pending.deadline(b), t0 + timeout);
+  EXPECT_EQ(pending.size(), 1u);
+  pending.clear(a);  // a duplicated serve: nothing left to clear
+  EXPECT_EQ(pending.size(), 1u);
+
+  // A re-request after the clear reports its new deadline.
+  const TimePoint t1 = t0 + milliseconds(100);
+  pending.add(a, t1 + timeout, t1);
+  EXPECT_EQ(pending.deadline(a), t1 + timeout);
+  EXPECT_EQ(pending.size(), 2u);
+
+  // At b's deadline the next request drops b; a is still outstanding.
+  const TimePoint t2 = t0 + timeout;
+  pending.add(c, t2 + timeout, t2);
+  EXPECT_EQ(pending.size(), 2u);
+  EXPECT_EQ(pending.deadline(b), TimePoint::min());
+  EXPECT_EQ(pending.deadline(a), t1 + timeout);
+  EXPECT_EQ(pending.deadline(c), t2 + timeout);
+
+  // Re-requesting a after it expired replaces its entry.
+  const TimePoint t3 = t1 + timeout;
+  pending.add(a, t3 + timeout, t3);
+  EXPECT_EQ(pending.size(), 2u);
+  EXPECT_EQ(pending.deadline(a), t3 + timeout);
+
+  // Three pages of requests expire together: the ring gives back every
+  // page but the one holding the new entry.
+  constexpr std::uint32_t kThreePages = 3 * kPageBytes / 16;  // 16 B each
+  for (std::uint32_t i = 0; i < kThreePages; ++i) {
+    pending.add(ChunkId{100 + i}, t3 + timeout, t3);
+  }
+  EXPECT_GE(pending.pages(), 3u);
+  for (std::uint32_t i = 0; i < kThreePages; i += 2) {
+    pending.clear(ChunkId{100 + i});  // served out of order
+  }
+  EXPECT_EQ(pending.deadline(ChunkId{101}), t3 + timeout);
+  EXPECT_EQ(pending.deadline(ChunkId{102}), TimePoint::min());
+  const TimePoint t4 = t3 + timeout;
+  pending.add(b, t4 + timeout, t4);
+  EXPECT_EQ(pending.size(), 1u);
+  EXPECT_EQ(pending.pages(), 1u);
+  EXPECT_EQ(pending.deadline(b), t4 + timeout);
+}
+
+TEST(Engine, RequestsTimeOutExactlyAndServesClearThem) {
+  GossipParams params;
+  params.request_timeout = milliseconds(500);
+  SoloEngine rig(5, params);
+  std::vector<std::pair<NodeId, RequestMsg>> requests;
+  rig.on_peer = [&](const sim::Delivery<Message>& d) {
+    if (const auto* r = std::get_if<RequestMsg>(&d.payload)) {
+      requests.emplace_back(d.to, *r);
+    }
+  };
+  const ChunkId a{1};
+  const ChunkId b{2};
+  // Proposals are handled at exact instants; their requests reach the
+  // peers later, in send order.
+  const auto propose = [&](std::uint32_t from, ChunkIdList chunks) {
+    rig.engine.handle(NodeId{from}, Message{ProposeMsg{1, std::move(chunks)}});
+    return rig.engine.stats().requests_sent;
+  };
+  const TimePoint t0 = kSimEpoch + seconds(1.0);
+  rig.sim.run_until(t0);
+  EXPECT_EQ(propose(1, {a, b}), 1u);
+  EXPECT_EQ(rig.engine.pending_deadline(a), t0 + params.request_timeout);
+
+  // Still outstanding one tick before the timeout...
+  rig.sim.run_until(t0 + params.request_timeout - Duration{1});
+  EXPECT_EQ(propose(2, {a}), 1u);
+  // ...and requestable from another proposer exactly at it.
+  const TimePoint t1 = t0 + params.request_timeout;
+  rig.sim.run_until(t1);
+  EXPECT_EQ(propose(3, {a}), 2u);
+  EXPECT_EQ(rig.engine.pending_deadline(a), t1 + params.request_timeout);
+  EXPECT_EQ(rig.engine.pending_deadline(b), TimePoint::min());  // expired
+
+  // The serve clears a's entry.
+  rig.serve(NodeId{3}, a, NodeId{3});
+  EXPECT_TRUE(rig.engine.has_chunk(a));
+  EXPECT_EQ(rig.engine.pending_deadline(a), TimePoint::min());
+
+  // A transport-duplicated serve changes nothing.
+  const EngineStats before = rig.engine.stats();
+  const std::size_t pages = rig.engine.period_state_pages();
+  rig.serve(NodeId{3}, a, NodeId{3});
+  EXPECT_EQ(rig.engine.pending_deadline(a), TimePoint::min());
+  EXPECT_EQ(rig.engine.stats().chunks_received, before.chunks_received);
+  EXPECT_EQ(rig.engine.stats().duplicate_serves,
+            before.duplicate_serves + 1);
+  EXPECT_EQ(rig.engine.period_state_pages(), pages);
+  EXPECT_EQ(propose(4, {a, b}), 3u);  // a is held; only b is requested
+  rig.sim.run();
+  ASSERT_EQ(requests.size(), 3u);
+  EXPECT_EQ(requests[0].first, NodeId{1});
+  EXPECT_EQ(requests[0].second.chunks, (ChunkIdList{a, b}));
+  EXPECT_EQ(requests[1].first, NodeId{3});
+  EXPECT_EQ(requests[1].second.chunks, ChunkIdList{a});
+  EXPECT_EQ(requests[2].first, NodeId{4});
+  EXPECT_EQ(requests[2].second.chunks, ChunkIdList{b});
+}
+
+TEST(Engine, PeriodStateHoldsConstantPagesWithoutAllocating) {
+  // Every period four servers serve 32 chunks (one page of fresh
+  // entries; each server's ack carries 8 ids, inline), a peer offers 32
+  // chunks the engine requests (pending entries all expiring at the next
+  // offer), and each partner requests the whole
+  // 32-id proposal (spilled lists). After a warm-up, the per-period
+  // tables hold a constant page count and a period makes no allocator
+  // call: pages cycle through the page pool, spilled lists through the
+  // SpillCache, ack rows reuse their thread's buffer. The warm-up is 10
+  // periods, not one: the sent-proposal window grows for its first 5, and
+  // the network's recycled delivery slots, which keep a stale payload's
+  // spill block until they are reused, settle by the 9th.
+  GossipParams params;
+  params.fanout = 4;
+  SoloEngine rig(12, params);
+  rig.on_peer = [&](const sim::Delivery<Message>& d) {
+    if (const auto* p = std::get_if<ProposeMsg>(&d.payload)) {
+      rig.net.send(d.to, NodeId{0}, sim::Channel::kDatagram, 100,
+                   Message{RequestMsg{p->period, p->chunks}});
+    }
+  };
+  constexpr std::uint32_t kPerPeriod = 32;
+  constexpr int kWarmup = 10;
+  constexpr int kPeriods = kWarmup + 20;
+  rig.engine.reserve_stream_chunks(kPerPeriod * kPeriods);
+  rig.engine.start(milliseconds(1));
+  std::vector<std::size_t> held;
+  held.reserve(kPeriods);
+  bench::AllocSnapshot start;
+  for (int p = 0; p < kPeriods; ++p) {
+    if (p == kWarmup) start = bench::AllocSnapshot::now();
+    const auto first = static_cast<std::uint32_t>(p) * kPerPeriod;
+    rig.sim.run_until(kSimEpoch + milliseconds(101) + params.period * p);
+    rig.engine.compact_delivery_log(ChunkId{first});
+    for (std::uint32_t i = 0; i < kPerPeriod; ++i) {
+      const NodeId server{1 + i % 4};
+      rig.serve(server, ChunkId{first + i}, server);
+    }
+    ChunkIdList offered;
+    for (std::uint32_t i = 0; i < kPerPeriod; ++i) {
+      offered.push_back(ChunkId{100'000 + first + i});
+    }
+    rig.engine.handle(NodeId{9}, Message{ProposeMsg{1, std::move(offered)}});
+    if (p >= kWarmup) held.push_back(rig.engine.period_state_pages());
+  }
+  const auto cost = bench::AllocSnapshot::now().delta_since(start);
+  EXPECT_EQ(cost.calls, 0u);
+  ASSERT_EQ(held.size(), 20u);
+  EXPECT_EQ(held, std::vector<std::size_t>(20, held.front()));
+  // fresh (1) + pending (1) + a 5-entry window at 4 per page (2).
+  EXPECT_EQ(held.front(), 4u);
+  EXPECT_GE(rig.engine.stats().proposals_sent, 25u);
+  EXPECT_EQ(rig.engine.stats().chunks_served,
+            rig.engine.stats().proposals_sent * params.fanout * kPerPeriod);
+}
+
+TEST(Network, SpilledProposalSharesOneSlotAcrossAFanOut) {
+  // A planetlab-sized proposal (28 ids) spills past ChunkIdList's inline
+  // capacity. A fan-out stores it once: every destination reads the same
+  // spilled buffer, and the last delivery frees the slot.
+  sim::Simulator sim;
+  sim::Network<Message> net(sim, Pcg32{911});
+  std::vector<const ChunkId*> seen;
+  ProposeMsg propose{3, {}};
+  for (std::uint32_t i = 0; i < 28; ++i) {
+    propose.chunks.push_back(ChunkId{1000 + 2 * i});
+  }
+  ASSERT_GT(propose.chunks.size(), ChunkIdList{}.capacity());
+  for (std::uint32_t i = 0; i < 8; ++i) {
+    net.add_node(NodeId{i}, GossipFixture::perfect_link(),
+                 [&](const sim::Delivery<Message>& d) {
+                   const auto& got = std::get<ProposeMsg>(d.payload);
+                   EXPECT_EQ(got.chunks, propose.chunks);
+                   seen.push_back(got.chunks.data());
+                 });
+  }
+  const std::vector<NodeId> to{NodeId{1}, NodeId{2}, NodeId{3}, NodeId{4},
+                               NodeId{5}, NodeId{6}, NodeId{7}};
+  net.send_many(NodeId{0}, to, sim::Channel::kDatagram, 200,
+                Message{propose});
+  EXPECT_EQ(net.in_flight(), 1u);
+  sim.run();
+  ASSERT_EQ(seen.size(), to.size());
+  EXPECT_EQ(seen, std::vector<const ChunkId*>(to.size(), seen.front()));
+  EXPECT_NE(seen.front(), propose.chunks.data());  // the slot's own copy
+  EXPECT_EQ(net.in_flight(), 0u);
 }
 
 TEST(Mailer, AccountsMessagesAndBytesByKind) {

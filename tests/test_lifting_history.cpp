@@ -193,10 +193,10 @@ TEST(ReceivedProposalLog, HasStaysExactAfterIdRingWraps) {
 }
 
 TEST(ReceivedProposalLog, MatchesNaiveReferenceAcrossIdRingWraps) {
-  // Runs of 1, 28 and 40 ids (40 is past ChunkIdList's 32-id inline
-  // capacity), pruned to a sliding window: thousands of ids flow through a
-  // ring a few hundred ids large, wrapping it many times. Every answer
-  // must match a log that stores each proposal whole.
+  // Runs of 1, 28 and 40 ids (28 and 40 spill past ChunkIdList's 8-id
+  // inline capacity), pruned to a sliding window: thousands of ids flow
+  // through a ring a few hundred ids large, wrapping it many times. Every
+  // answer must match a log that stores each proposal whole.
   struct Ref {
     TimePoint at;
     NodeId from;
@@ -402,7 +402,7 @@ TEST(SentProposalHistory, SnapshotRoundTripsScatteredRunsAcrossWraps) {
 
 TEST(SentProposalHistory, SnapshotRebuildsLongRuns) {
   // 9 partners and 40 chunks: the rebuilt ChunkIdList spills past its
-  // 32-id inline capacity, and the key's partner run is longer than the
+  // 8-id inline capacity, and the key's partner run is longer than the
   // planetlab fanout.
   SentProposalHistory history;
   std::vector<NodeId> partners;
@@ -552,6 +552,40 @@ TEST(RingLog, CyclingRingsHoldConstantPagesWithoutAllocating) {
   EXPECT_EQ(detail::PagePool::idle_bytes(), idle);
   EXPECT_EQ(held, std::vector<std::size_t>(21, held.front()));
   EXPECT_EQ(held.front(), 21u);
+}
+
+TEST(RingLog, PopBackReleasesEmptiedTailPages) {
+  constexpr std::size_t kPer = RingLog<std::uint64_t>::kPerPage;
+  RingLog<std::uint64_t> ring;
+  for (std::uint64_t i = 0; i < 3 * kPer + 5; ++i) ring.push_slot() = i;
+  ASSERT_EQ(ring.pages(), 4u);
+  const std::size_t idle = detail::PagePool::idle_bytes();
+  ring.pop_back(5);  // empties the tail page
+  EXPECT_EQ(ring.pages(), 3u);
+  EXPECT_EQ(detail::PagePool::idle_bytes(), idle + kPageBytes);
+  EXPECT_EQ(ring.back(), 3 * kPer - 1);
+  ring.pop_back(1);  // the tail page keeps live entries
+  EXPECT_EQ(ring.pages(), 3u);
+  // From both ends: the live entries [kPer / 2, 2 * kPer) touch 2 pages.
+  ring.pop_front(kPer / 2);
+  ring.pop_back(kPer - 1);
+  EXPECT_EQ(ring.pages(), 2u);
+  ASSERT_EQ(ring.size(), kPer + kPer / 2);
+  EXPECT_EQ(ring.front(), kPer / 2);
+  EXPECT_EQ(ring.back(), 2 * kPer - 1);
+  // Pushing after a pop_back refills the tail in order.
+  ring.push_slot() = 7;
+  EXPECT_EQ(ring.pages(), 3u);
+  EXPECT_EQ(ring.back(), 7u);
+  EXPECT_EQ(ring[ring.size() - 2], 2 * kPer - 1);
+  // Emptied from the back, a ring keeps its head page only when the front
+  // sits inside it, as pop_front does.
+  ring.pop_back(ring.size());
+  EXPECT_EQ(ring.pages(), 1u);
+  RingLog<std::uint64_t> aligned;
+  for (std::uint64_t i = 0; i < kPer + 1; ++i) aligned.push_slot() = i;
+  aligned.pop_back(aligned.size());
+  EXPECT_EQ(aligned.pages(), 0u);
 }
 
 TEST(RingLog, PagesOutliveTheThreadThatTookThem) {
