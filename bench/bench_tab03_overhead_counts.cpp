@@ -17,6 +17,8 @@
 
 namespace {
 
+namespace gossip = lifting::gossip;
+
 struct CountRow {
   std::size_t fanout;
   double p_dcc;
@@ -38,23 +40,27 @@ CountRow run(std::size_t fanout, double p_dcc) {
   cfg.stream.chunk_payload_bytes = 4'000;  // 10 chunks/s
   lifting::runtime::Experiment ex(cfg);
   ex.run();
-  const auto& m = ex.metrics();
+  const auto& sent = ex.sent();
   const double node_periods =
       static_cast<double>(cfg.nodes) *
       (lifting::to_seconds(cfg.duration) /
        lifting::to_seconds(cfg.gossip.period));
-  const auto per = [&](const char* kind) {
-    return static_cast<double>(m.value(std::string("sent.") + kind +
-                                       ".count")) /
-           node_periods;
+  const auto per = [&](std::size_t kind) {
+    return static_cast<double>(sent[kind].count) / node_periods;
   };
+  double disseminations = 0.0;
+  for (std::size_t k = 0; k < sent.size(); ++k) {
+    if (gossip::kind_class(k) == gossip::KindClass::kDissemination) {
+      disseminations += per(k);
+    }
+  }
   return CountRow{fanout,
                   p_dcc,
-                  per("ack"),
-                  per("confirm_req"),
-                  per("confirm_resp"),
-                  per("blame"),
-                  per("propose") + per("request") + per("serve")};
+                  per(gossip::kind_index<gossip::AckMsg>()),
+                  per(gossip::kind_index<gossip::ConfirmReqMsg>()),
+                  per(gossip::kind_index<gossip::ConfirmRespMsg>()),
+                  per(gossip::kind_index<gossip::BlameMsg>()),
+                  disseminations};
 }
 
 }  // namespace

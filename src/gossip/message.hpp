@@ -218,9 +218,9 @@ using Message =
                  AuditRequestMsg, AuditHistoryMsg, HistoryPollMsg,
                  HistoryPollRespMsg, AuditAckMsg, RpsShuffleMsg>;
 
-/// The first kGossipKindCount Message alternatives are the dissemination
-/// kinds handled by the gossip engine (routing tests `index() < 4`); the
-/// asserts pin the variant order that routing relies on.
+/// The first kGossipKindCount Message alternatives are the kinds the
+/// gossip engine handles (routing tests `index() < 4`); the asserts pin
+/// the variant order that routing relies on.
 inline constexpr std::size_t kGossipKindCount = 4;
 static_assert(std::is_same_v<std::variant_alternative_t<0, Message>, ProposeMsg>);
 static_assert(std::is_same_v<std::variant_alternative_t<1, Message>, RequestMsg>);
@@ -244,6 +244,36 @@ static_assert(std::is_same_v<std::variant_alternative_t<16, Message>,
 /// a gossip kind (engine routing) nor an audited RPC (retry channel).
 static_assert(std::is_same_v<std::variant_alternative_t<17, Message>,
                              RpsShuffleMsg>);
+
+/// Variant index of alternative T: its slot in per-kind tables.
+template <typename T, std::size_t I = 0>
+[[nodiscard]] consteval std::size_t kind_index() {
+  if constexpr (std::is_same_v<std::variant_alternative_t<I, Message>, T>) {
+    return I;
+  } else {
+    return kind_index<T, I + 1>();
+  }
+}
+
+/// What a message kind's traffic is for — the split behind Table 5:
+/// the three-phase dissemination (propose, request, serve), LiFTinG
+/// verification (ack through expel_commit, Table 5's numerator), the §5.3
+/// audits with their channel acks, and the RPS membership substrate.
+enum class KindClass : std::uint8_t {
+  kDissemination,
+  kVerification,
+  kAudit,
+  kSubstrate,
+};
+
+/// The class of the kind at variant `index` (the one classifier every
+/// per-class sum uses).
+[[nodiscard]] constexpr KindClass kind_class(std::size_t index) noexcept {
+  if (index <= kind_index<ServeMsg>()) return KindClass::kDissemination;
+  if (index <= kind_index<ExpelCommitMsg>()) return KindClass::kVerification;
+  if (index <= kind_index<AuditAckMsg>()) return KindClass::kAudit;
+  return KindClass::kSubstrate;
+}
 
 /// Modeled wire size in bytes, including a per-datagram IP+UDP header
 /// (28 B) or amortized TCP framing (40 B). Field sizes: node id 4 B,

@@ -17,9 +17,9 @@
 /// describing bench JSON rows and the periodic mid-run STAT lines the
 /// wire protocol streams.
 ///
-/// Entries live in a deque so references stay stable across registration
-/// (the sim::MetricsRegistry idiom); iteration is registration order,
-/// which keeps every exported listing deterministic.
+/// Entries live in a deque so references stay stable across registration;
+/// iteration is registration order, which keeps every exported listing
+/// deterministic.
 
 namespace lifting::obs {
 

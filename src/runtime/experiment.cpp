@@ -62,7 +62,7 @@ void Experiment::reset(std::uint64_t seed) {
 
 void Experiment::rewind() {
   sim_.reset();
-  metrics_.reset_all();  // counters zeroed; Mailer's cached handles stay valid
+  mailer_->clear_sent();
   directory_.reset(config_.nodes);
   rng_ = derive_rng(config_.seed, /*stream=*/0xE58);
   ledger_.reset();
@@ -137,7 +137,7 @@ void Experiment::build() {
     transport_ = std::make_unique<net::SimTransport>(*network_);
     injector_ =
         std::make_unique<faults::FaultInjector>(*transport_, sim_, config_.seed);
-    mailer_ = std::make_unique<gossip::Mailer>(*injector_, &metrics_);
+    mailer_ = std::make_unique<gossip::Mailer>(*injector_);
   } else {
     // Reset path: same network object (the Mailer's reference stays
     // valid), fresh endpoints and statistics, reused delivery pool.
@@ -1057,17 +1057,19 @@ void Experiment::enable_trace(std::size_t capacity) {
 }
 
 void Experiment::collect_metrics(obs::Registry& out) const {
-  // Wire stats: every sim::MetricsRegistry counter under its own name
-  // (sent.<kind>.count / sent.<kind>.bytes — the Mailer's naming). The
-  // sim registry orders slots by first use, which depends on deployment
-  // history across resets; sort by name so the folded registry's entry
-  // order is a function of the run alone (the reset audit compares two
-  // registries slot-by-slot).
-  auto wire = metrics_.snapshot();
-  std::sort(wire.begin(), wire.end());
-  for (const auto& [name, value] : wire) {
-    out.set_counter(name, value);
+  // The Mailer's tally as sent.<kind>.count / sent.<kind>.bytes, for the
+  // kinds that sent anything, sorted by name.
+  std::vector<std::pair<std::string, std::uint64_t>> sent;
+  for (std::size_t k = 0; k < mailer_->sent().size(); ++k) {
+    const auto& kind = mailer_->sent()[k];
+    if (kind.count == 0) continue;
+    const std::string prefix =
+        std::string("sent.") + gossip::message_kind_name(k);
+    sent.emplace_back(prefix + ".count", kind.count);
+    sent.emplace_back(prefix + ".bytes", kind.bytes);
   }
+  std::sort(sent.begin(), sent.end());
+  for (const auto& [name, value] : sent) out.set_counter(name, value);
   const auto& net = network_->stats();
   out.set_counter("net.datagrams_sent", net.datagrams_sent);
   out.set_counter("net.datagrams_lost", net.datagrams_lost);
@@ -1111,26 +1113,21 @@ void Experiment::collect_metrics(obs::Registry& out) const {
 
 OverheadReport Experiment::overhead() const {
   OverheadReport report;
-  static const char* kDissemination[] = {"propose", "request", "serve"};
-  static const char* kVerification[] = {"ack",          "confirm_req",
-                                        "confirm_resp", "blame",
-                                        "score_query",  "score_reply",
-                                        "expel_request", "expel_vote",
-                                        "expel_commit"};
-  static const char* kAudit[] = {"audit_request", "audit_history",
-                                 "history_poll", "history_poll_resp",
-                                 "audit_ack"};
-  for (const auto* kind : kDissemination) {
-    report.dissemination_bytes +=
-        metrics_.value(std::string("sent.") + kind + ".bytes");
-  }
-  for (const auto* kind : kVerification) {
-    report.verification_bytes +=
-        metrics_.value(std::string("sent.") + kind + ".bytes");
-  }
-  for (const auto* kind : kAudit) {
-    report.audit_bytes +=
-        metrics_.value(std::string("sent.") + kind + ".bytes");
+  const auto& sent = mailer_->sent();
+  for (std::size_t k = 0; k < sent.size(); ++k) {
+    switch (gossip::kind_class(k)) {
+      case gossip::KindClass::kDissemination:
+        report.dissemination_bytes += sent[k].bytes;
+        break;
+      case gossip::KindClass::kVerification:
+        report.verification_bytes += sent[k].bytes;
+        break;
+      case gossip::KindClass::kAudit:
+        report.audit_bytes += sent[k].bytes;
+        break;
+      case gossip::KindClass::kSubstrate:
+        break;
+    }
   }
   return report;
 }

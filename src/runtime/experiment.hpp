@@ -19,7 +19,6 @@
 #include "obs/trace.hpp"
 #include "runtime/node_stack.hpp"
 #include "runtime/scenario.hpp"
-#include "sim/metrics.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
 
@@ -169,9 +168,12 @@ struct DetectionStats {
 
 /// Bandwidth accounting (Table 5).
 struct OverheadReport {
+  // Each field sums one gossip::KindClass of the Mailer's tally.
   std::uint64_t dissemination_bytes = 0;  // propose + request + serve
   std::uint64_t verification_bytes = 0;   // ack + confirm + blame + score + expel
-  std::uint64_t audit_bytes = 0;          // TCP audit traffic
+  // §5.3 audit kinds + audit_ack: TCP-framed, or datagrams under the
+  // reliable-UDP audit channel.
+  std::uint64_t audit_bytes = 0;
   [[nodiscard]] double verification_ratio() const {
     return dissemination_bytes == 0
                ? 0.0
@@ -189,11 +191,11 @@ class Experiment {
   /// bit-identical to constructing a fresh Experiment(config) (asserted by
   /// tests/test_parallel_runner.cpp), but the expensive substrate storage
   /// is reused instead of torn down and re-grown: the event-queue arena,
-  /// the delivery pool, the dense per-node tables, the metrics registry
-  /// (counters zeroed, handles kept) and — when (nodes, managers, seed)
-  /// are unchanged — the shared ManagerAssignment table. Everything a
-  /// fresh Experiment would not have is gone: measurement hooks like
-  /// sample_scores_every() must be re-armed after every reset.
+  /// the delivery pool, the dense per-node tables, the Mailer (its send
+  /// tally zeroed) and — when (nodes, managers, seed) are unchanged — the
+  /// shared ManagerAssignment table. Everything a fresh Experiment would
+  /// not have is gone: measurement hooks like sample_scores_every() must
+  /// be re-armed after every reset.
   void reset(ScenarioConfig config);
   /// Same-scenario repetition under a new seed (reset(config) with only
   /// the seed replaced). Note: a timeline embedded in the config was
@@ -421,8 +423,9 @@ class Experiment {
   [[nodiscard]] std::vector<gossip::HealthPoint> streamed_health_curve();
 
   [[nodiscard]] OverheadReport overhead() const;
-  [[nodiscard]] const sim::MetricsRegistry& metrics() const noexcept {
-    return metrics_;
+  /// Messages and modeled bytes sent so far, by kind (gossip::kind_index).
+  [[nodiscard]] const gossip::SendTally& sent() const noexcept {
+    return mailer_->sent();
   }
 
   /// Arms the flight recorder (DESIGN.md §13): a TraceRing of `capacity`
@@ -527,7 +530,6 @@ class Experiment {
   ScenarioConfig config_;
   Pcg32 rng_;
   sim::Simulator sim_;
-  sim::MetricsRegistry metrics_;
   membership::Directory directory_;
   /// RPS substrate; constructed only when membership.rps_partner_sampling
   /// is on (null = bit-identical legacy partner selection).

@@ -20,7 +20,7 @@ NodeHost::NodeHost(const ScenarioConfig& config, NodeId self)
     : config_(config),
       self_(self),
       injector_(udp_, sim_, config.seed),
-      mailer_(injector_, &metrics_),
+      mailer_(injector_),
       directory_(config.nodes) {
   config_.validate();
   std::string why;

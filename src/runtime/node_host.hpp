@@ -18,7 +18,6 @@
 #include "obs/trace.hpp"
 #include "runtime/node_stack.hpp"
 #include "runtime/scenario.hpp"
-#include "sim/metrics.hpp"
 #include "sim/simulator.hpp"
 
 /// One node over real UDP datagrams: what a lifting_node daemon process
@@ -127,7 +126,6 @@ class NodeHost {
   bool freerider_ = false;
 
   sim::Simulator sim_;
-  sim::MetricsRegistry metrics_;
   net::UdpTransport udp_;
   /// Fault injector between Mailer and sockets — the SAME seam the
   /// simulator injects at, so one FaultPlan means one fault model on both

@@ -129,7 +129,9 @@ TEST(Adversary, ScoreAwareThrottlerStaysOutOfExpulsionTrouble) {
       << "score-aware throttling did not reduce committed expulsions";
   // The feedback channel is real protocol traffic: score queries fanned
   // out to the managers.
-  EXPECT_GT(throttled.metrics().value("sent.score_query.count"), 0u);
+  EXPECT_GT(
+      throttled.sent()[gossip::kind_index<gossip::ScoreQueryMsg>()].count,
+      0u);
 }
 
 TEST(Adversary, ProbeReportsExpelledHintAndReplies) {

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <string>
+
+#include "obs/registry.hpp"
 #include "runtime/experiment.hpp"
 #include "runtime/scenario.hpp"
 
@@ -99,6 +104,49 @@ TEST(Experiment, OverheadAccountingSeparatesClasses) {
   // Verification traffic is small relative to the stream (Table 5 ballpark:
   // single-digit percent at p_dcc=1 for a real stream; generous bound here).
   EXPECT_LT(report.verification_ratio(), 0.35);
+}
+
+/// overhead() and collect_metrics both read the Mailer's send tally: the
+/// report's three sums are its bytes summed per kind_class, and the
+/// registry's sent.<kind>.bytes entries add up to its total.
+TEST(Experiment, OverheadSumsTheSendTallyPerClass) {
+  auto cfg = ScenarioConfig::small(30);
+  cfg.duration = seconds(8.0);
+  cfg.stream.duration = seconds(6.0);
+  cfg.freerider_fraction = 0.2;
+  cfg.lifting.audit_probability = 0.3;
+  cfg.lifting.audit_warmup_periods = 6;
+  Experiment ex(cfg);
+  ex.run();
+
+  std::array<std::uint64_t, 4> by_class{};
+  std::uint64_t total = 0;
+  for (std::size_t k = 0; k < ex.sent().size(); ++k) {
+    by_class[static_cast<std::size_t>(gossip::kind_class(k))] +=
+        ex.sent()[k].bytes;
+    total += ex.sent()[k].bytes;
+  }
+  const auto report = ex.overhead();
+  using gossip::KindClass;
+  EXPECT_EQ(report.dissemination_bytes,
+            by_class[static_cast<std::size_t>(KindClass::kDissemination)]);
+  EXPECT_EQ(report.verification_bytes,
+            by_class[static_cast<std::size_t>(KindClass::kVerification)]);
+  EXPECT_EQ(report.audit_bytes,
+            by_class[static_cast<std::size_t>(KindClass::kAudit)]);
+  EXPECT_GT(report.dissemination_bytes, 0u);
+  EXPECT_GT(report.verification_bytes, 0u);
+  EXPECT_GT(report.audit_bytes, 0u);
+
+  obs::Registry reg;
+  ex.collect_metrics(reg);
+  std::uint64_t folded = 0;
+  for (const auto& e : reg.entries()) {
+    if (e.name.starts_with("sent.") && e.name.ends_with(".bytes")) {
+      folded += e.counter;
+    }
+  }
+  EXPECT_EQ(folded, total);
 }
 
 TEST(Experiment, LiftingDisabledSendsNoVerificationTraffic) {

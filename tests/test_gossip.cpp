@@ -3,6 +3,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -25,7 +26,7 @@ class GossipFixture {
  public:
   explicit GossipFixture(std::uint32_t n, GossipParams params = {},
                          sim::LinkProfile profile = perfect_link())
-      : directory_(n), network_(sim_, Pcg32{900}), mailer_(network_, nullptr) {
+      : directory_(n), network_(sim_, Pcg32{900}), mailer_(network_) {
     params.emit_acks = false;
     for (std::uint32_t i = 0; i < n; ++i) {
       const NodeId id{i};
@@ -70,7 +71,7 @@ struct SoloEngine {
   explicit SoloEngine(std::uint32_t n, GossipParams params = {})
       : dir(n),
         net(sim, Pcg32{910}),
-        mailer(net, nullptr),
+        mailer(net),
         engine(sim, mailer, dir, NodeId{0}, params, BehaviorSpec::honest(),
                Pcg32{12}, nullptr) {
     sim::LinkProfile link = GossipFixture::perfect_link();
@@ -113,6 +114,44 @@ TEST(WireSize, KindNames) {
   EXPECT_STREQ(message_kind(Message{ProposeMsg{}}), "propose");
   EXPECT_STREQ(message_kind(Message{BlameMsg{}}), "blame");
   EXPECT_STREQ(message_kind(Message{AuditHistoryMsg{}}), "audit_history");
+}
+
+TEST(KindClass, EveryKindHasExactlyOneClass) {
+  const std::map<std::string, KindClass> expected{
+      {"propose", KindClass::kDissemination},
+      {"request", KindClass::kDissemination},
+      {"serve", KindClass::kDissemination},
+      {"ack", KindClass::kVerification},
+      {"confirm_req", KindClass::kVerification},
+      {"confirm_resp", KindClass::kVerification},
+      {"blame", KindClass::kVerification},
+      {"score_query", KindClass::kVerification},
+      {"score_reply", KindClass::kVerification},
+      {"expel_request", KindClass::kVerification},
+      {"expel_vote", KindClass::kVerification},
+      {"expel_commit", KindClass::kVerification},
+      {"audit_request", KindClass::kAudit},
+      {"audit_history", KindClass::kAudit},
+      {"history_poll", KindClass::kAudit},
+      {"history_poll_resp", KindClass::kAudit},
+      {"audit_ack", KindClass::kAudit},
+      {"rps_shuffle", KindClass::kSubstrate}};
+  constexpr std::size_t kKinds = std::variant_size_v<Message>;
+  ASSERT_EQ(expected.size(), kKinds);
+  std::map<KindClass, std::size_t> per_class;
+  for (std::size_t k = 0; k < kKinds; ++k) {
+    const auto it = expected.find(message_kind_name(k));
+    ASSERT_TRUE(it != expected.end()) << message_kind_name(k);
+    EXPECT_EQ(kind_class(k), it->second) << it->first;
+    ++per_class[kind_class(k)];
+  }
+  EXPECT_EQ(per_class[KindClass::kDissemination], 3u);
+  EXPECT_EQ(per_class[KindClass::kVerification], 9u);
+  EXPECT_EQ(per_class[KindClass::kAudit], 5u);
+  EXPECT_EQ(per_class[KindClass::kSubstrate], 1u);
+  static_assert(kind_index<ProposeMsg>() == 0);
+  static_assert(kind_index<AuditAckMsg>() == kAuditKindFirst + kAuditKindCount);
+  static_assert(kind_index<RpsShuffleMsg>() == kKinds - 1);
 }
 
 TEST(Engine, DisseminatesToAllNodesWithoutLoss) {
@@ -191,7 +230,7 @@ TEST(Engine, InfectAndDieNeverReproposesAChunk) {
   sim::Simulator sim;
   membership::Directory dir(10);
   sim::Network<Message> net(sim, Pcg32{901});
-  Mailer mailer(net, nullptr);
+  Mailer mailer(net);
   Recorder recorder;
   GossipParams params;
   params.emit_acks = false;
@@ -226,7 +265,7 @@ TEST(Engine, ServesOnlyProposedAndRequestedChunks) {
   sim::Simulator sim;
   membership::Directory dir(2);
   sim::Network<Message> net(sim, Pcg32{902});
-  Mailer mailer(net, nullptr);
+  Mailer mailer(net);
   GossipParams params;
   params.emit_acks = false;
   Engine server(sim, mailer, dir, NodeId{0}, params, BehaviorSpec::honest(),
@@ -251,7 +290,7 @@ TEST(Engine, FanoutDecreaseAttackContactsFewerPartners) {
   sim::Simulator sim;
   membership::Directory dir(30);
   sim::Network<Message> net(sim, Pcg32{903});
-  Mailer mailer(net, nullptr);
+  Mailer mailer(net);
   GossipParams params;
   params.fanout = 8;
   params.emit_acks = false;
@@ -289,7 +328,7 @@ TEST(Engine, MitmRedirectsAcksAndClaimsCoalitionPartners) {
   sim::Simulator sim;
   membership::Directory dir(30);
   sim::Network<Message> net(sim, Pcg32{905});
-  Mailer mailer(net, nullptr);
+  Mailer mailer(net);
   GossipParams params;
   params.fanout = 4;
   BehaviorSpec mitm;
@@ -359,7 +398,7 @@ TEST(Engine, PartialProposeDropsServersButAcksClaimTheirChunks) {
   sim::Simulator sim;
   membership::Directory dir(10);
   sim::Network<Message> net(sim, Pcg32{906});
-  Mailer mailer(net, nullptr);
+  Mailer mailer(net);
   GossipParams params;
   params.fanout = 3;
   BehaviorSpec cheat;
@@ -647,8 +686,7 @@ TEST(Network, SpilledProposalSharesOneSlotAcrossAFanOut) {
 TEST(Mailer, AccountsMessagesAndBytesByKind) {
   sim::Simulator sim;
   sim::Network<Message> net(sim, Pcg32{907});
-  sim::MetricsRegistry metrics;
-  Mailer mailer(net, &metrics);
+  Mailer mailer(net);
   sim::LinkProfile link;
   net.add_node(NodeId{0}, link, [](sim::Delivery<Message>) {});
   net.add_node(NodeId{1}, link, [](sim::Delivery<Message>) {});
@@ -658,21 +696,24 @@ TEST(Mailer, AccountsMessagesAndBytesByKind) {
   mailer.send(NodeId{0}, NodeId{1}, sim::Channel::kDatagram,
               Message{BlameMsg{NodeId{5}, 2.0,
                                BlameReason::kDirectVerification}});
-  EXPECT_EQ(metrics.value("sent.propose.count"), 2u);
-  EXPECT_EQ(metrics.value("sent.propose.bytes"), 2 * wire_size(propose));
-  EXPECT_EQ(metrics.value("sent.blame.count"), 1u);
-  EXPECT_EQ(metrics.value("sent.serve.count"), 0u);
-  EXPECT_TRUE(is_dissemination_kind("propose"));
-  EXPECT_FALSE(is_dissemination_kind("blame"));
+  const auto& sent = mailer.sent();
+  EXPECT_EQ(sent[kind_index<ProposeMsg>()].count, 2u);
+  EXPECT_EQ(sent[kind_index<ProposeMsg>()].bytes, 2 * wire_size(propose));
+  EXPECT_EQ(sent[kind_index<BlameMsg>()].count, 1u);
+  EXPECT_EQ(sent[kind_index<ServeMsg>()].count, 0u);
+
+  mailer.clear_sent();
+  for (const auto& kind : mailer.sent()) {
+    EXPECT_EQ(kind.count, 0u);
+    EXPECT_EQ(kind.bytes, 0u);
+  }
 }
 
 TEST(Mailer, SendManyAccountsAsThatManySingleSends) {
   sim::Simulator sim;
   sim::Network<Message> net(sim, Pcg32{908});
-  sim::MetricsRegistry fanned;
-  sim::MetricsRegistry single;
-  Mailer fan_mailer(net, &fanned);
-  Mailer one_mailer(net, &single);
+  Mailer fan_mailer(net);
+  Mailer one_mailer(net);
   for (std::uint32_t i = 0; i < 5; ++i) {
     net.add_node(NodeId{i}, sim::LinkProfile{},
                  [](const sim::Delivery<Message>&) {});
@@ -681,10 +722,9 @@ TEST(Mailer, SendManyAccountsAsThatManySingleSends) {
   const Message blame{BlameMsg{NodeId{3}, 1.0, BlameReason::kTestimony}};
   const Message propose{ProposeMsg{2, {ChunkId{1}, ChunkId{2}}}};
 
-  // An empty fan-out registers nothing, so the first kind actually sent
-  // keeps its place in the registry order.
+  // An empty fan-out counts nothing.
   fan_mailer.send_many(NodeId{0}, {}, sim::Channel::kDatagram, propose);
-  EXPECT_TRUE(fanned.snapshot().empty());
+  for (const auto& kind : fan_mailer.sent()) EXPECT_EQ(kind.count, 0u);
 
   fan_mailer.send_many(NodeId{0}, to, sim::Channel::kDatagram, blame);
   fan_mailer.send_many(NodeId{0}, to, sim::Channel::kDatagram, propose);
@@ -693,9 +733,13 @@ TEST(Mailer, SendManyAccountsAsThatManySingleSends) {
       one_mailer.send(NodeId{0}, dst, sim::Channel::kDatagram, m);
     }
   }
-  EXPECT_EQ(fanned.snapshot(), single.snapshot());
-  EXPECT_EQ(fanned.value("sent.blame.count"), to.size());
-  EXPECT_EQ(fanned.value("sent.blame.bytes"), to.size() * wire_size(blame));
+  for (std::size_t k = 0; k < fan_mailer.sent().size(); ++k) {
+    EXPECT_EQ(fan_mailer.sent()[k].count, one_mailer.sent()[k].count) << k;
+    EXPECT_EQ(fan_mailer.sent()[k].bytes, one_mailer.sent()[k].bytes) << k;
+  }
+  const auto& blames = fan_mailer.sent()[kind_index<BlameMsg>()];
+  EXPECT_EQ(blames.count, to.size());
+  EXPECT_EQ(blames.bytes, to.size() * wire_size(blame));
   sim.run();
   EXPECT_EQ(net.in_flight(), 0u);
 }
@@ -780,7 +824,7 @@ TEST(StreamSource, EmitsAtConfiguredRate) {
   sim::Simulator sim;
   membership::Directory dir(2);
   sim::Network<Message> net(sim, Pcg32{904});
-  Mailer mailer(net, nullptr);
+  Mailer mailer(net);
   GossipParams params;
   params.emit_acks = false;
   Engine engine(sim, mailer, dir, NodeId{0}, params, BehaviorSpec::honest(),

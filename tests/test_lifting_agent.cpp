@@ -19,7 +19,7 @@ struct AgentFixture {
   explicit AgentFixture(std::uint32_t n, LiftingParams params = defaults(),
                         double loss = 0.0)
       : params_(params), directory(n), network(sim, Pcg32{500}),
-        mailer(network, nullptr) {
+        mailer(network) {
     hooks.on_blame_emitted = [this](NodeId by, NodeId target, double value,
                                     gossip::BlameReason reason) {
       emitted.push_back({by, target, value, reason});

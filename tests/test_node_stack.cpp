@@ -7,7 +7,6 @@
 
 #include "gossip/stream_source.hpp"
 #include "runtime/node_stack.hpp"
-#include "sim/metrics.hpp"
 #include "sim/network.hpp"
 
 namespace lifting::runtime {
@@ -64,7 +63,7 @@ struct StackFixture {
       : config(make_config(lifting_enabled)),
         directory(config.nodes),
         network(sim, derive_rng(config.seed, 0x02)),
-        mailer(network, &metrics) {
+        mailer(network) {
     if (config.lifting_enabled) {
       assignment = std::make_shared<lifting::ManagerAssignment>(
           config.nodes, config.lifting.managers, config.seed);
@@ -102,7 +101,6 @@ struct StackFixture {
 
   ScenarioConfig config;
   sim::Simulator sim;
-  sim::MetricsRegistry metrics;
   membership::Directory directory;
   sim::Network<gossip::Message> network;
   gossip::Mailer mailer;
@@ -119,20 +117,20 @@ TEST(NodeStack, WithoutLiftingThereIsNoAgentAndNoAck) {
   off.stacks[1].handle(NodeId{2}, gossip::BlameMsg{NodeId{3}, 1.0});
   off.stacks[1].handle(NodeId{2}, gossip::ScoreQueryMsg{NodeId{1}, 7});
   EXPECT_FALSE(off.sim.has_pending());
-  for (const auto& [name, value] : off.metrics.snapshot()) {
-    EXPECT_EQ(value, 0u) << name;
-  }
+  for (const auto& kind : off.mailer.sent()) EXPECT_EQ(kind.count, 0u);
 
+  constexpr auto kServe = gossip::kind_index<gossip::ServeMsg>();
+  constexpr auto kAck = gossip::kind_index<gossip::AckMsg>();
   off.stream_for(seconds(4.0));
-  EXPECT_GT(off.metrics.value("sent.serve.count"), 0u);
+  EXPECT_GT(off.mailer.sent()[kServe].count, 0u);
   EXPECT_GT(off.stacks[5].engine().stats().chunks_received, 0u);
-  EXPECT_EQ(off.metrics.value("sent.ack.count"), 0u);
+  EXPECT_EQ(off.mailer.sent()[kAck].count, 0u);
 
   // The same population with LiFTinG on builds agents and acknowledges.
   StackFixture on(/*lifting_enabled=*/true);
   for (const auto& stack : on.stacks) EXPECT_NE(stack.agent(), nullptr);
   on.stream_for(seconds(4.0));
-  EXPECT_GT(on.metrics.value("sent.ack.count"), 0u);
+  EXPECT_GT(on.mailer.sent()[kAck].count, 0u);
 }
 
 }  // namespace

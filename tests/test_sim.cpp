@@ -5,7 +5,6 @@
 
 #include "common/rng.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/metrics.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
 
@@ -454,25 +453,6 @@ TEST(Network, MutableHandlersGetTheirOwnCopyOfASharedDelivery) {
   sim.run();
   EXPECT_EQ(got, (std::vector<std::string>{"shared", "shared"}));
   EXPECT_EQ(net.in_flight(), 0u);
-}
-
-// ---------------------------------------------------------------- metrics
-
-TEST(Metrics, CountersAccumulateAndSnapshot) {
-  MetricsRegistry registry;
-  auto& c = registry.counter("sent.propose.count");
-  c.add();
-  c.add(4);
-  EXPECT_EQ(registry.value("sent.propose.count"), 5u);
-  EXPECT_EQ(registry.value("missing"), 0u);
-  auto& same = registry.counter("sent.propose.count");
-  same.add();
-  EXPECT_EQ(registry.value("sent.propose.count"), 6u);
-  const auto snap = registry.snapshot();
-  ASSERT_EQ(snap.size(), 1u);
-  EXPECT_EQ(snap[0].first, "sent.propose.count");
-  registry.reset_all();
-  EXPECT_EQ(registry.value("sent.propose.count"), 0u);
 }
 
 }  // namespace

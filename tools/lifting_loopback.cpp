@@ -531,7 +531,7 @@ int main(int argc, char** argv) {
               "wire B", "wire/model");
   std::uint64_t diss_model = 0, diss_wire = 0;
   std::uint64_t verif_model = 0, verif_wire = 0;
-  std::uint64_t audit_model = 0, audit_wire = 0;
+  std::uint64_t audit_wire = 0;
   std::size_t largest_kind = 0;
   for (std::size_t k = 0; k < kKinds; ++k) {
     if (kind_count[k] == 0) continue;
@@ -543,14 +543,14 @@ int main(int argc, char** argv) {
                 static_cast<double>(kind_wire[k]) /
                     static_cast<double>(kind_modeled[k]));
     if (kind_wire[k] > kind_wire[largest_kind]) largest_kind = k;
-    if (k < 3) {
+    const auto cls = gossip::kind_class(k);
+    if (cls == gossip::KindClass::kDissemination) {
       diss_model += kind_modeled[k];
       diss_wire += kind_wire[k];
-    } else if (k < 12) {
+    } else if (cls == gossip::KindClass::kVerification) {
       verif_model += kind_modeled[k];
       verif_wire += kind_wire[k];
-    } else {
-      audit_model += kind_modeled[k];
+    } else if (cls == gossip::KindClass::kAudit) {
       audit_wire += kind_wire[k];
     }
   }
