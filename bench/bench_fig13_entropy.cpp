@@ -58,13 +58,15 @@ int main(int argc, char** argv) {
     membership::Directory directory(n);
     Pcg32 rng = derive_rng(20130, shard);
     std::vector<std::unordered_map<std::uint32_t, std::uint64_t>> fanin(n);
+    std::vector<std::uint32_t> index_scratch;
+    std::vector<NodeId> partners;
     const auto slice = runtime::shard_range(shard, kShards, n);
     for (auto node = static_cast<std::uint32_t>(slice.lo);
          node < static_cast<std::uint32_t>(slice.hi); ++node) {
       std::unordered_map<std::uint32_t, std::uint64_t> counts;
       for (std::uint32_t round = 0; round < nh; ++round) {
-        const auto partners = membership::sample_uniform(
-            rng, directory, NodeId{node}, fanout);
+        membership::sample_uniform_into(rng, directory, NodeId{node}, fanout,
+                                        index_scratch, partners);
         for (const auto partner : partners) {
           ++counts[partner.value()];
           ++fanin[partner.value()][node];

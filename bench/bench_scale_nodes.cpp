@@ -15,10 +15,12 @@
 /// Rows above kDietNodes run the memory-diet configuration: streamed
 /// health (Experiment::enable_streamed_health — delivery logs fold into
 /// O(nodes) counters instead of retaining a stamp per chunk) and a
-/// shortened lifting.history_retention (proposal rings keep the confirm
-/// window, not the full 25 s audit window). Below the threshold the
-/// classic retained configuration keeps rows comparable with earlier
-/// logs; the streamed health value itself is bit-identical either way
+/// shortened lifting.history_retention (the received-proposal ring keeps
+/// the confirm window, not the full 25 s audit window). They do not audit,
+/// so their nodes keep no audit trail. Rows at or below the threshold keep
+/// the full window and audit as paper-300 does (p = 0.3 per period after
+/// 20 periods), so they hold every per-node log at full retention; the
+/// streamed health value itself is bit-identical either way
 /// (tests/test_streamed_health.cpp).
 ///
 /// Usage: bench_scale_nodes [nodes...] [--json PATH]
@@ -49,14 +51,14 @@ namespace {
 using namespace lifting;
 
 /// Populations above this run the memory-diet configuration (streamed
-/// health + shortened history retention). The classic rows (<= 20k) keep
-/// the retained configuration so their events/s stay comparable across
-/// bench logs.
+/// health + shortened history retention, no audits). The full-window rows
+/// (<= 20k) keep the retained configuration and run audits.
 constexpr std::uint32_t kDietNodes = 20000;
 
 /// Fig. 1's deployment shape at population n: the 674 kbps stream, f = 7,
 /// Tg = 500 ms, PlanetLab-like lossy links, a tail of weak nodes, and the
-/// full verification machinery running (10% deterred freeriders).
+/// full verification machinery running (10% deterred freeriders), with
+/// local-history audits on the full-window rows.
 runtime::ScenarioConfig stream_health_config(std::uint32_t n,
                                              double sim_seconds) {
   auto cfg = runtime::ScenarioConfig::planetlab();
@@ -72,6 +74,11 @@ runtime::ScenarioConfig stream_health_config(std::uint32_t n,
     // periods) and the cross-check lag, and the dominant per-node saving
     // at million scale.
     cfg.lifting.history_retention = seconds(3.0);
+  } else {
+    // The full-window rows audit (paper-300's setting), so their nodes
+    // hold the audit trail at the 25 s window the CI 1k budget gates.
+    cfg.lifting.audit_probability = 0.3;
+    cfg.lifting.audit_warmup_periods = 20;
   }
   return cfg;
 }
@@ -253,8 +260,10 @@ int main(int argc, char** argv) {
   std::printf(
       "674 kbps stream, f=7, Tg=500 ms, LiFTinG on, 10%% deterred "
       "freeriders, 20%% weak links\n"
+      "rows <= %u nodes: audits p=0.3 after 20 periods, full 25 s history\n"
       "rows > %u nodes: memory diet on (streamed health, 3 s history "
-      "retention), health lag 2.5 s\n\n",
+      "retention, no audits), health lag 2.5 s\n\n",
+      kDietNodes,
       kDietNodes);
 
   lifting::TextTable table({"nodes", "sim s", "events", "wall s", "events/s",

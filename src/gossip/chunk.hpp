@@ -85,6 +85,8 @@ class DeliveryLog {
 
   /// Number of chunks delivered (folded entries included).
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  /// Pages held by the time table (the presence bitmap is not paged).
+  [[nodiscard]] std::size_t pages() const noexcept { return at_.pages(); }
 
   /// Pre-sizes the presence bitmap for a stream of `chunks` ids total, so
   /// steady-state record() calls never regrow it (the bitmap is the one

@@ -307,7 +307,7 @@ void Engine::pick_partners_into(std::size_t count, std::vector<NodeId>& out) {
   // View-aware: with a membership-propagation lag this node may still
   // select a recently-departed partner (wrongful blame follows when the
   // silence is verified) and cannot yet select joiners it has not heard
-  // of. Identical to sample_uniform when the view model is off.
+  // of. Identical to sample_uniform_into when the view model is off.
   membership::sample_view_into(rng_, directory_, self_, count, sim_.now(),
                                sample_index_scratch_, out);
 }

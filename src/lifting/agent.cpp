@@ -86,6 +86,7 @@ Agent::Agent(sim::Simulator& sim, gossip::Mailer& mailer,
             }
           }) {
   params_.validate();
+  if (params_.audit_probability > 0.0) audit_trail_.emplace();
   base_pdcc_ = params_.p_dcc;
   // A node manages ~M targets in expectation (Poisson(M) tail); pre-size
   // the blame ledger so the first periods never reallocate it.
@@ -96,6 +97,12 @@ void Agent::start(Duration offset) {
   LIFTING_ASSERT(!started_, "agent started twice");
   started_ = true;
   sim_.schedule_after(offset, [this] { tick(); });
+}
+
+void Agent::audit(NodeId target) {
+  require(audit_trail_.has_value(),
+          "audit() needs an auditing deployment (audit_probability > 0)");
+  auditor_.start_audit(target);
 }
 
 void Agent::set_trace(obs::Recorder* trace) noexcept {
@@ -110,9 +117,8 @@ void Agent::tick() {
   const TimePoint cutoff =
       now - std::min(now.time_since_epoch(),
                      params_.effective_history_retention());
-  sent_history_.prune(cutoff);
   received_log_.prune(cutoff);
-  asker_log_.prune(cutoff);
+  if (audit_trail_) audit_trail_->prune(cutoff);
 
   // Adaptive cross-checking (§1): decay the working p_dcc while our own
   // verifications stay clean; snap back to the configured value when the
@@ -161,8 +167,10 @@ void Agent::tick() {
     // View-aware subject pick: an auditor can select a node it does not
     // yet know has departed; the audit then times out against silence —
     // one of the wrongful-blame sources divergent views introduce.
-    const auto pick =
-        membership::sample_view(rng_, directory_, self_, 1, now);
+    std::vector<std::uint32_t> indices;
+    std::vector<NodeId> pick;
+    membership::sample_view_into(rng_, directory_, self_, 1, now, indices,
+                                 pick);
     if (!pick.empty() && !behavior_.colludes_with(pick.front())) {
       auditor_.start_audit(pick.front());
     }
@@ -417,7 +425,9 @@ void Agent::on_proposal_sent(PeriodIndex period,
                              const gossip::ChunkIdList& chunks) {
   // The audit-visible history must be consistent with the acks we emitted,
   // hence the *claimed* partner set (honest nodes: claimed == real).
-  sent_history_.record(sim_.now(), period, claimed_partners, chunks);
+  if (audit_trail_) {
+    audit_trail_->sent.record(sim_.now(), period, claimed_partners, chunks);
+  }
 }
 
 void Agent::on_ack_received(NodeId from, const gossip::AckMsg& ack) {
@@ -481,7 +491,7 @@ void Agent::handle(NodeId from, const gossip::Message& message) {
 void Agent::handle_confirm_request(NodeId from,
                                    const gossip::ConfirmReqMsg& msg) {
   // Record the asker — the F'_h trail polled by auditors (§5.3).
-  asker_log_.record(sim_.now(), msg.subject, from);
+  if (audit_trail_) audit_trail_->askers.record(sim_.now(), msg.subject, from);
   bool confirmed;
   if (behavior_.collusion.has_value() && behavior_.collusion->cover_up &&
       behavior_.colludes_with(msg.subject)) {
@@ -705,16 +715,21 @@ void Agent::handle_audit_request(NodeId from,
   if (trace_ != nullptr) {
     trace_->record(obs::EventKind::kAuditServed, self_, from, msg.audit_id);
   }
-  auto records = sent_history_.snapshot();
+  // Without a trail (a stray or hostile request in a deployment that does
+  // not audit) the reply is an empty history.
+  std::vector<gossip::HistoryProposalRecord> records;
+  if (audit_trail_) records = audit_trail_->sent.snapshot();
   if (behavior_.lie_in_history && behavior_.collusion.has_value()) {
     // Replace coalition partners with random live nodes: beats the entropy
     // check, but the substituted nodes will deny the claims during the
     // a-posteriori cross-check (§5.3).
+    std::vector<std::uint32_t> indices;
+    std::vector<NodeId> substitute;
     for (auto& rec : records) {
       for (auto& partner : rec.partners) {
         if (!behavior_.collusion->contains(partner)) continue;
-        const auto substitute =
-            membership::sample_uniform(rng_, directory_, self_, 1);
+        membership::sample_uniform_into(rng_, directory_, self_, 1, indices,
+                                        substitute);
         if (!substitute.empty()) partner = substitute.front();
       }
     }
@@ -737,7 +752,8 @@ void Agent::handle_history_poll(NodeId from,
       ++denied;
     }
   }
-  auto askers = asker_log_.askers_about(msg.subject);
+  std::vector<NodeId> askers;
+  if (audit_trail_) askers = audit_trail_->askers.askers_about(msg.subject);
   send_reliable(from, gossip::HistoryPollRespMsg{msg.audit_id, msg.subject,
                                                  confirmed, denied,
                                                  std::move(askers)});

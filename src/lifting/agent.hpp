@@ -107,7 +107,9 @@ class Agent final : public gossip::EngineObserver {
   void on_ack_received(NodeId from, const gossip::AckMsg& ack) override;
 
   /// Requests an audit of `target` (also available to external policy).
-  void audit(NodeId target) { auditor_.start_audit(target); }
+  /// Only an auditing deployment (audit_probability > 0) may audit: the
+  /// others keep no audit trail, so their nodes' histories would be empty.
+  void audit(NodeId target);
 
   /// Requests a min-vote score read followed by the expulsion protocol if
   /// the score is below η (also used by the periodic policy).
@@ -153,8 +155,12 @@ class Agent final : public gossip::EngineObserver {
   /// The working cross-check probability (== configured p_dcc unless
   /// adaptive_pdcc has decayed it during clean periods).
   [[nodiscard]] double current_pdcc() const noexcept { return params_.p_dcc; }
-  [[nodiscard]] const SentProposalHistory& sent_history() const noexcept {
-    return sent_history_;
+  [[nodiscard]] const ReceivedProposalLog& received_log() const noexcept {
+    return received_log_;
+  }
+  /// The audit trail, or null when the deployment does not audit.
+  [[nodiscard]] const AuditTrail* audit_trail() const noexcept {
+    return audit_trail_ ? &*audit_trail_ : nullptr;
   }
 
   /// Delivery-health counters of the reliable-UDP audit channel, per audit
@@ -263,9 +269,10 @@ class Agent final : public gossip::EngineObserver {
   CrossChecker cross_checker_;
   Auditor auditor_;
 
-  SentProposalHistory sent_history_;
   ReceivedProposalLog received_log_;
-  ConfirmAskerLog asker_log_;
+  /// Engaged only when params_.audit_probability > 0: nothing else reads
+  /// these logs, so a non-auditing node does not record them.
+  std::optional<AuditTrail> audit_trail_;
 
   std::vector<NodeId> recent_contacts_;
 

@@ -24,6 +24,10 @@
 ///  * ConfirmAskerLog — who asked this node to confirm whose proposals;
 ///    polled by auditors to reconstruct F'_h (§5.3).
 ///
+/// Only the §5.3 audits read the first and the last, so the two travel
+/// together as an AuditTrail, which a node keeps only in a deployment that
+/// audits. Confirms and duplicate checks read the received log everywhere.
+///
 /// Storage is flat and paged (DESIGN.md §9). Each log keeps a RingLog of
 /// small fixed-size keys (time, proposer or period, run lengths), entries
 /// time-ordered with the oldest at the front, and the proposals' variable
@@ -128,6 +132,9 @@ class SentProposalHistory {
   }
 
   [[nodiscard]] std::size_t size() const noexcept { return keys_.size(); }
+  [[nodiscard]] std::size_t pages() const noexcept {
+    return keys_.pages() + partners_.pages() + chunks_.pages();
+  }
 
   /// The audit-visible records, oldest first. Materializes fresh vectors —
   /// this is the audit-reply path, not a steady-state one.
@@ -213,6 +220,9 @@ class ReceivedProposalLog {
   }
 
   [[nodiscard]] std::size_t size() const noexcept { return keys_.size(); }
+  [[nodiscard]] std::size_t pages() const noexcept {
+    return keys_.pages() + chunks_.pages();
+  }
 
  private:
   struct Key {
@@ -252,6 +262,7 @@ class ConfirmAskerLog {
   }
 
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
+  [[nodiscard]] std::size_t pages() const noexcept { return entries_.pages(); }
 
  private:
   struct Entry {
@@ -260,6 +271,19 @@ class ConfirmAskerLog {
     NodeId asker{};
   };
   RingLog<Entry> entries_;
+};
+
+/// The two logs only the §5.3 audits read: the node's own sent proposals
+/// (its audit reply) and its confirm askers (its answer to a history
+/// poll). Both keep the same window, so they prune together.
+struct AuditTrail {
+  SentProposalHistory sent;
+  ConfirmAskerLog askers;
+
+  void prune(TimePoint cutoff) {
+    sent.prune(cutoff);
+    askers.prune(cutoff);
+  }
 };
 
 }  // namespace lifting

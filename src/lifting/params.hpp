@@ -128,11 +128,12 @@ struct LiftingParams {
   static constexpr std::uint32_t kConfirmWindowPeriods = 3;
   /// How long the per-node accountability logs actually retain entries.
   /// zero (the default) means the full audit window `history_window` —
-  /// required whenever audits run. Deployments that never audit (the
-  /// million-node scale benches) shrink it to the confirm window, so the
-  /// proposal logs hold a few periods instead of n_h, with identical
-  /// confirm/poll answers. Must cover at least kConfirmWindowPeriods + 1
-  /// periods.
+  /// required whenever audits run. A deployment that never audits
+  /// (audit_probability 0) keeps no audit trail at all, so there this
+  /// bounds only the received-proposal log; the million-node scale benches
+  /// shrink it to the confirm window, so that log holds a few periods
+  /// instead of n_h, with identical confirm answers. Must cover at least
+  /// kConfirmWindowPeriods + 1 periods.
   Duration history_retention = Duration::zero();
 
   /// n_h = h / Tg (§5: the number of gossip periods covered by the history).

@@ -7,14 +7,6 @@
 
 namespace lifting::membership {
 
-std::vector<NodeId> sample_uniform(Pcg32& rng, const Directory& directory,
-                                   NodeId self, std::size_t k) {
-  std::vector<std::uint32_t> index_scratch;
-  std::vector<NodeId> partners;
-  sample_uniform_into(rng, directory, self, k, index_scratch, partners);
-  return partners;
-}
-
 void sample_uniform_into(Pcg32& rng, const Directory& directory, NodeId self,
                          std::size_t k,
                          std::vector<std::uint32_t>& index_scratch,
@@ -37,14 +29,6 @@ void sample_uniform_into(Pcg32& rng, const Directory& directory, NodeId self,
     const std::size_t idx = (raw >= self_pos) ? raw + 1 : raw;
     out.push_back(live[idx]);
   }
-}
-
-std::vector<NodeId> sample_view(Pcg32& rng, const Directory& directory,
-                                NodeId self, std::size_t k, TimePoint now) {
-  std::vector<std::uint32_t> index_scratch;
-  std::vector<NodeId> partners;
-  sample_view_into(rng, directory, self, k, now, index_scratch, partners);
-  return partners;
 }
 
 void sample_view_into(Pcg32& rng, const Directory& directory, NodeId self,
@@ -105,6 +89,8 @@ std::vector<NodeId> sample_biased(Pcg32& rng, const Directory& directory,
   std::unordered_set<NodeId> chosen;
   std::vector<NodeId> partners;
   partners.reserve(k);
+  std::vector<std::uint32_t> index_scratch;
+  std::vector<NodeId> uniform;
   std::size_t coalition_used = 0;
 
   const auto try_add = [&](NodeId id) {
@@ -126,7 +112,7 @@ std::vector<NodeId> sample_biased(Pcg32& rng, const Directory& directory,
           rng.below(static_cast<std::uint32_t>(live_coalition.size()));
       try_add(live_coalition[idx]);
     } else {
-      const auto uniform = sample_uniform(rng, directory, self, 1);
+      sample_uniform_into(rng, directory, self, 1, index_scratch, uniform);
       if (uniform.empty()) break;
       if (!coalition_set.contains(uniform.front())) {
         try_add(uniform.front());
@@ -140,7 +126,7 @@ std::vector<NodeId> sample_biased(Pcg32& rng, const Directory& directory,
   while (partners.size() < k &&
          chosen.size() < directory.live_count() - (directory.is_live(self) ? 1 : 0) &&
          attempts++ < max_attempts) {
-    const auto uniform = sample_uniform(rng, directory, self, 1);
+    sample_uniform_into(rng, directory, self, 1, index_scratch, uniform);
     if (uniform.empty()) break;
     try_add(uniform.front());
   }

@@ -16,17 +16,12 @@
 
 namespace lifting::membership {
 
-/// Picks `k` distinct live partners uniformly at random, excluding `self`.
-/// If fewer than k candidates exist, returns all of them (shuffled).
-[[nodiscard]] std::vector<NodeId> sample_uniform(Pcg32& rng,
-                                                 const Directory& directory,
-                                                 NodeId self, std::size_t k);
-
-/// Allocation-free sample_uniform: fills `out` (cleared; capacity reused),
-/// using `index_scratch` for the k-subset draw. Identical rng sequence and
-/// result as sample_uniform — the per-period partner pick is the gossip
-/// loop's hottest sampler, and with retained capacity it never touches the
-/// allocator in steady state.
+/// Picks `k` distinct live partners uniformly at random, excluding `self`,
+/// into `out` (cleared; capacity reused), using `index_scratch` for the
+/// k-subset draw. If fewer than k candidates exist, `out` gets all of them
+/// (shuffled). The per-period partner pick is the gossip loop's hottest
+/// sampler, and with retained capacity it never touches the allocator in
+/// steady state.
 void sample_uniform_into(Pcg32& rng, const Directory& directory, NodeId self,
                          std::size_t k,
                          std::vector<std::uint32_t>& index_scratch,
@@ -36,14 +31,9 @@ void sample_uniform_into(Pcg32& rng, const Directory& directory, NodeId self,
 /// partners uniformly from what `self` currently *believes* the membership
 /// is — joins it has not yet learned of are excluded, recent departures it
 /// has not yet learned of are still included (the directory's limbo list).
-/// With the view model off (view_lag() == 0) this is sample_uniform down to
-/// the exact rng draw sequence, so fixed-seed goldens are unaffected.
-[[nodiscard]] std::vector<NodeId> sample_view(Pcg32& rng,
-                                              const Directory& directory,
-                                              NodeId self, std::size_t k,
-                                              TimePoint now);
-
-/// Allocation-free sample_view (same contract as sample_uniform_into).
+/// With the view model off (view_lag() == 0) this is sample_uniform_into
+/// down to the exact rng draw sequence, so fixed-seed goldens are
+/// unaffected. Same scratch and output contract as sample_uniform_into.
 void sample_view_into(Pcg32& rng, const Directory& directory, NodeId self,
                       std::size_t k, TimePoint now,
                       std::vector<std::uint32_t>& index_scratch,

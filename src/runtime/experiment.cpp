@@ -1099,6 +1099,30 @@ void Experiment::collect_metrics(obs::Registry& out) const {
   for (const auto& [name, field] : gossip::EngineStats::kFields) {
     out.set_counter(std::string("engine.").append(name), engines.*field);
   }
+  // The memory layer table (DESIGN.md §9): RingLog pages each per-node
+  // log holds now, summed over every id's current stack (a departed node
+  // keeps its logs, so it counts too).
+  std::uint64_t sent_pages = 0;
+  std::uint64_t asker_pages = 0;
+  std::uint64_t received_pages = 0;
+  std::uint64_t delivery_pages = 0;
+  std::uint64_t engine_pages = 0;
+  for (const auto& node : nodes_) {
+    delivery_pages += node.engine().delivery_times().pages();
+    engine_pages += node.engine().period_state_pages();
+    const auto* agent = node.agent();
+    if (agent == nullptr) continue;
+    received_pages += agent->received_log().pages();
+    if (const auto* trail = agent->audit_trail()) {
+      sent_pages += trail->sent.pages();
+      asker_pages += trail->askers.pages();
+    }
+  }
+  out.set_counter("mem.pages.sent_history", sent_pages);
+  out.set_counter("mem.pages.asker_log", asker_pages);
+  out.set_counter("mem.pages.received_log", received_pages);
+  out.set_counter("mem.pages.delivery_times", delivery_pages);
+  out.set_counter("mem.pages.engine", engine_pages);
   out.set_counter("blame.ledger_emissions", ledger_.emissions());
   out.set_counter("expulsions.applied", expulsions_.size());
   out.set_counter("handoffs.executed", handoffs_.size());

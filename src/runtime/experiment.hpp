@@ -446,8 +446,9 @@ class Experiment {
 
   /// Folds every scattered counter family into one obs::Registry — wire
   /// stats (sim metrics), network/transport totals, engine duplicate
-  /// counters, audit-channel delivery health, fault outcomes, ledger and
-  /// expulsion tallies. Absolute totals (idempotent re-fold, not deltas).
+  /// counters, audit-channel delivery health, fault outcomes, the per-log
+  /// page counts (mem.pages.*), ledger and expulsion tallies. Absolute
+  /// totals (idempotent re-fold, not deltas).
   void collect_metrics(obs::Registry& out) const;
   [[nodiscard]] const sim::NetworkStats& network_stats() const {
     return network_->stats();

@@ -605,33 +605,38 @@ TEST(ChurnResilience, ViewSamplingCanReturnARecentLeaver) {
   // departure, and check the view-aware sampler can select it while the
   // plain sampler never does.
   auto rng = derive_rng(3, 3);
+  std::vector<std::uint32_t> scratch;
+  std::vector<NodeId> picks;
   bool sampled_leaver = false;
   for (std::uint32_t o = 1; o < 30 && !sampled_leaver; ++o) {
     const NodeId observer{o};
     if (!directory.sees(observer, leaver, left + milliseconds(100))) continue;
     for (int trial = 0; trial < 64 && !sampled_leaver; ++trial) {
-      const auto picks = membership::sample_view(
-          rng, directory, observer, 5, left + milliseconds(100));
+      membership::sample_view_into(rng, directory, observer, 5,
+                                   left + milliseconds(100), scratch, picks);
       sampled_leaver = std::find(picks.begin(), picks.end(), leaver) !=
                        picks.end();
     }
   }
   EXPECT_TRUE(sampled_leaver);
 
-  const auto uniform = membership::sample_uniform(rng, directory, NodeId{1},
-                                                  29);
+  std::vector<NodeId> uniform;
+  membership::sample_uniform_into(rng, directory, NodeId{1}, 29, scratch,
+                                  uniform);
   EXPECT_EQ(std::find(uniform.begin(), uniform.end(), leaver),
             uniform.end());
 
-  // With the model off, sample_view degrades to sample_uniform with the
-  // identical draw sequence.
+  // With the model off, sample_view_into degrades to sample_uniform_into
+  // with the identical draw sequence.
   membership::Directory plain(30);
   auto rng_a = derive_rng(5, 9);
   auto rng_b = derive_rng(5, 9);
-  const auto via_view =
-      membership::sample_view(rng_a, plain, NodeId{2}, 6, kSimEpoch);
-  const auto via_uniform =
-      membership::sample_uniform(rng_b, plain, NodeId{2}, 6);
+  std::vector<NodeId> via_view;
+  std::vector<NodeId> via_uniform;
+  membership::sample_view_into(rng_a, plain, NodeId{2}, 6, kSimEpoch,
+                               scratch, via_view);
+  membership::sample_uniform_into(rng_b, plain, NodeId{2}, 6, scratch,
+                                  via_uniform);
   EXPECT_EQ(via_view, via_uniform);
 }
 

@@ -149,6 +149,34 @@ TEST(Experiment, OverheadSumsTheSendTallyPerClass) {
   EXPECT_EQ(folded, total);
 }
 
+/// The memory layer table: a deployment that never audits keeps no audit
+/// trail, so its two logs hold no pages, while an auditing one holds both.
+/// The logs every deployment keeps hold pages either way.
+TEST(Experiment, AuditTrailHoldsPagesOnlyWhereAuditsRun) {
+  auto quiet = ScenarioConfig::small(30);
+  quiet.duration = seconds(8.0);
+  quiet.stream.duration = seconds(6.0);
+  ASSERT_EQ(quiet.lifting.audit_probability, 0.0);
+  auto audited = quiet;
+  audited.lifting.audit_probability = 0.3;
+  audited.lifting.audit_warmup_periods = 6;
+  for (const auto* cfg : {&quiet, &audited}) {
+    Experiment ex(*cfg);
+    ex.run();
+    obs::Registry reg;
+    ex.collect_metrics(reg);
+    if (cfg == &quiet) {
+      EXPECT_EQ(reg.counter("mem.pages.sent_history"), 0u);
+      EXPECT_EQ(reg.counter("mem.pages.asker_log"), 0u);
+    } else {
+      EXPECT_GT(reg.counter("mem.pages.sent_history"), 0u);
+      EXPECT_GT(reg.counter("mem.pages.asker_log"), 0u);
+    }
+    EXPECT_GT(reg.counter("mem.pages.received_log"), 0u);
+    EXPECT_GT(reg.counter("mem.pages.delivery_times"), 0u);
+  }
+}
+
 TEST(Experiment, LiftingDisabledSendsNoVerificationTraffic) {
   auto cfg = ScenarioConfig::small(40);
   cfg.lifting_enabled = false;

@@ -188,6 +188,7 @@ TEST(Agent, WitnessDeniesUnknownProposal) {
 
 TEST(Agent, AuditOfHonestAgentPasses) {
   LiftingParams params = AgentFixture::defaults();
+  params.audit_probability = 0.3;
   params.gamma = 4.0;
   params.history_window = seconds(10.0);
   params.rate_tolerance = 0.0;  // short histories are fine in this test
@@ -274,6 +275,7 @@ TEST(Agent, MeanVoteAbsorbsColludingManagerLies) {
 
 TEST(Agent, LyingHistoryDeniedByHonestWitnesses) {
   LiftingParams params = AgentFixture::defaults();
+  params.audit_probability = 0.3;
   params.gamma = 4.0;
   params.rate_tolerance = 0.0;
   params.min_fanin_samples = 1000;
@@ -312,6 +314,72 @@ TEST(Agent, LyingHistoryDeniedByHonestWitnesses) {
     if (e.reason == gossip::BlameReason::kAposterioriCheck) apcc += e.value;
   }
   EXPECT_DOUBLE_EQ(apcc, 80.0);
+}
+
+TEST(Agent, AuditTrailKeptOnlyWhereAuditsRun) {
+  AgentFixture quiet(4);
+  LiftingParams params = AgentFixture::defaults();
+  params.audit_probability = 0.3;
+  AgentFixture auditing(4, params);
+  for (auto* fx : {&quiet, &auditing}) {
+    fx->agents[1]->on_proposal_sent(1, {NodeId{2}}, {NodeId{2}},
+                                    {ChunkId{1}});
+    fx->network.send(NodeId{0}, NodeId{1}, sim::Channel::kDatagram, 50,
+                     gossip::Message{gossip::ConfirmReqMsg{NodeId{2}, 1,
+                                                           {ChunkId{1}}}});
+    fx->sim.run();
+  }
+  EXPECT_EQ(quiet.agents[1]->audit_trail(), nullptr);
+  const auto* trail = auditing.agents[1]->audit_trail();
+  ASSERT_NE(trail, nullptr);
+  EXPECT_EQ(trail->sent.size(), 1u);
+  EXPECT_EQ(trail->askers.size(), 1u);
+}
+
+TEST(Agent, AuditWithoutTrailThrows) {
+  AgentFixture fx(4);  // audit_probability 0: no trail
+  EXPECT_THROW(fx.agents[0]->audit(NodeId{1}), std::invalid_argument);
+  fx.sim.run();
+  EXPECT_EQ(fx.mailer.sent()[gossip::kind_index<gossip::AuditRequestMsg>()]
+                .count,
+            0u);
+}
+
+TEST(Agent, StrayAuditTrafficGetsEmptyReplies) {
+  // Without a trail a misrouted audit request or history poll is still
+  // answered, with nothing in it; the proposals this node sent and the
+  // confirm requests it served are not on record.
+  AgentFixture fx(4);
+  fx.agents[1]->on_proposal_sent(1, {NodeId{2}}, {NodeId{2}}, {ChunkId{1}});
+  fx.network.send(NodeId{3}, NodeId{1}, sim::Channel::kDatagram, 50,
+                  gossip::Message{gossip::ConfirmReqMsg{NodeId{2}, 1,
+                                                        {ChunkId{1}}}});
+  fx.sim.run();
+  std::vector<gossip::Message> replies;
+  fx.network.set_handler(NodeId{0}, [&](sim::Delivery<gossip::Message> d) {
+    replies.push_back(d.payload);
+  });
+  fx.network.send(NodeId{0}, NodeId{1}, sim::Channel::kReliable, 50,
+                  gossip::Message{gossip::AuditRequestMsg{7}});
+  fx.network.send(NodeId{0}, NodeId{1}, sim::Channel::kReliable, 50,
+                  gossip::Message{gossip::HistoryPollMsg{7, NodeId{2}, {}}});
+  fx.sim.run();
+  ASSERT_EQ(replies.size(), 2u);
+  const gossip::AuditHistoryMsg* history = nullptr;
+  const gossip::HistoryPollRespMsg* poll = nullptr;
+  for (const auto& reply : replies) {  // either may arrive first
+    if (history == nullptr) {
+      history = std::get_if<gossip::AuditHistoryMsg>(&reply);
+    }
+    if (poll == nullptr) poll = std::get_if<gossip::HistoryPollRespMsg>(&reply);
+  }
+  ASSERT_NE(history, nullptr);
+  EXPECT_EQ(history->audit_id, 7u);
+  EXPECT_TRUE(history->proposals.empty());
+  ASSERT_NE(poll, nullptr);
+  EXPECT_EQ(poll->subject, NodeId{2});
+  EXPECT_EQ(poll->confirmed + poll->denied, 0u);
+  EXPECT_TRUE(poll->confirm_askers.empty());
 }
 
 }  // namespace

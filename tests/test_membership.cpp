@@ -48,8 +48,10 @@ TEST(Directory, PositionsStayConsistentAfterExpulsions) {
 TEST(SampleUniform, DistinctAndExcludesSelf) {
   Directory dir(30);
   Pcg32 rng{11};
+  std::vector<std::uint32_t> scratch;
+  std::vector<NodeId> picks;
   for (int t = 0; t < 100; ++t) {
-    const auto picks = sample_uniform(rng, dir, NodeId{5}, 7);
+    sample_uniform_into(rng, dir, NodeId{5}, 7, scratch, picks);
     ASSERT_EQ(picks.size(), 7u);
     std::set<NodeId> unique(picks.begin(), picks.end());
     EXPECT_EQ(unique.size(), 7u);
@@ -61,7 +63,9 @@ TEST(SampleUniform, DistinctAndExcludesSelf) {
 TEST(SampleUniform, CapsAtPopulation) {
   Directory dir(4);
   Pcg32 rng{12};
-  const auto picks = sample_uniform(rng, dir, NodeId{0}, 10);
+  std::vector<std::uint32_t> scratch;
+  std::vector<NodeId> picks;
+  sample_uniform_into(rng, dir, NodeId{0}, 10, scratch, picks);
   EXPECT_EQ(picks.size(), 3u);
 }
 
@@ -69,11 +73,12 @@ TEST(SampleUniform, IsUniformOverCandidates) {
   Directory dir(20);
   Pcg32 rng{13};
   std::unordered_map<NodeId, int> counts;
+  std::vector<std::uint32_t> scratch;
+  std::vector<NodeId> picks;
   const int trials = 40000;
   for (int t = 0; t < trials; ++t) {
-    for (const auto p : sample_uniform(rng, dir, NodeId{3}, 4)) {
-      ++counts[p];
-    }
+    sample_uniform_into(rng, dir, NodeId{3}, 4, scratch, picks);
+    for (const auto p : picks) ++counts[p];
   }
   EXPECT_EQ(counts.find(NodeId{3}), counts.end());
   // Each of the 19 candidates appears with probability 4/19 per trial.
@@ -86,10 +91,11 @@ TEST(SampleUniform, NeverPicksExpelled) {
   Directory dir(10);
   dir.expel(NodeId{4});
   Pcg32 rng{14};
+  std::vector<std::uint32_t> scratch;
+  std::vector<NodeId> picks;
   for (int t = 0; t < 200; ++t) {
-    for (const auto p : sample_uniform(rng, dir, NodeId{0}, 5)) {
-      EXPECT_NE(p, NodeId{4});
-    }
+    sample_uniform_into(rng, dir, NodeId{0}, 5, scratch, picks);
+    for (const auto p : picks) EXPECT_NE(p, NodeId{4});
   }
 }
 

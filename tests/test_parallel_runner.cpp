@@ -258,6 +258,56 @@ TEST(ExperimentReset, LiftingOffAfterLiftingOnMatchesFreshConstruction) {
   expect_same_registry(want, got);
 }
 
+/// The audit trail follows the config through reset, because build()
+/// rebuilds the agents: an auditing run reset into a non-auditing config
+/// drops the trail, and a reset back engages it again. Each run matches
+/// fresh construction of its config, digest and registry alike.
+TEST(ExperimentReset, AuditTrailFollowsTheConfigAcrossResets) {
+  auto audited = ScenarioConfig::small(16);
+  audited.duration = seconds(6.0);
+  audited.stream.duration = seconds(5.0);
+  audited.freerider_fraction = 0.25;
+  audited.lifting.audit_probability = 0.3;
+  audited.lifting.audit_warmup_periods = 4;
+  auto quiet = audited;
+  quiet.lifting.audit_probability = 0.0;
+
+  const auto trails = [](Experiment& ex) {
+    std::size_t engaged = 0;
+    for (std::uint32_t i = 0; i < ex.population(); ++i) {
+      engaged += ex.agent(NodeId{i}).audit_trail() != nullptr ? 1 : 0;
+    }
+    return engaged;
+  };
+  const auto expect_fresh = [](Experiment& reused, const ScenarioConfig& cfg) {
+    Experiment fresh(cfg);
+    fresh.run();
+    EXPECT_TRUE(RunDigest::of(reused) == RunDigest::of(fresh));
+    obs::Registry want;
+    fresh.collect_metrics(want);
+    obs::Registry got;
+    reused.collect_metrics(got);
+    expect_same_registry(want, got);
+  };
+
+  Experiment reused(audited);
+  EXPECT_EQ(trails(reused), 16u);
+  reused.run();
+  ASSERT_GT(
+      reused.sent()[gossip::kind_index<gossip::AuditRequestMsg>()].count, 0u);
+  expect_fresh(reused, audited);
+
+  reused.reset(quiet);
+  EXPECT_EQ(trails(reused), 0u);
+  reused.run();
+  expect_fresh(reused, quiet);
+
+  reused.reset(audited);
+  EXPECT_EQ(trails(reused), 16u);
+  reused.run();
+  expect_fresh(reused, audited);
+}
+
 TEST(ExperimentReset, ResetAfterWindDownDrainsClean) {
   const auto spec = quick_spec(3);  // churny
   Experiment ex(spec.config);
