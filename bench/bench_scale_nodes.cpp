@@ -158,6 +158,11 @@ Row run(std::uint32_t n) {
   // Fold the deployment's full counter set into the row — the JSON rows
   // are self-describing without one accessor per counter family.
   ex->collect_metrics(row.metrics);
+  // Pages idle in this thread's pool: a property of the process, not of
+  // the run, so it stays out of collect_metrics (whose counters must match
+  // between a reset Experiment and a fresh one).
+  row.metrics.set_counter("mem.pages.idle",
+                          detail::PagePool::idle_bytes() / kPageBytes);
   // Peak live heap this row added (construction + run + health read), per
   // node — the budgeted number. RSS is sampled after, for the OS view.
   row.heap_high_water = bench::AllocSnapshot::now().high_water_since(mem_start);

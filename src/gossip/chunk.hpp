@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -10,6 +11,7 @@
 #include "common/assert.hpp"
 #include "common/ring_log.hpp"
 #include "common/small_vector.hpp"
+#include "common/stamp.hpp"
 #include "common/time.hpp"
 #include "common/types.hpp"
 
@@ -41,17 +43,24 @@ using ChunkIdList = SmallVector<ChunkId, 8>;
 ///
 /// Chunk ids are dense in emission order, so the log is a presence bitmap
 /// (1 bit/chunk, never compacted — has_chunk must answer for the whole
-/// stream) plus a time table (8 B/chunk) indexed by id - window_base():
+/// stream) plus a time table (4 B/chunk) indexed by id - window_base():
 /// containment and lookup are O(1) reads on the per-serve hot path. The
-/// table is a paged RingLog, like every other windowed per-node log. Long
-/// streamed runs call compact_before(horizon) once per fold to drop the
-/// *times* of chunks older than the judgment horizon; that hands whole
+/// table is a paged RingLog, like every other windowed per-node log, and
+/// holds each time as a 32-bit stamp from the log's first record
+/// (src/common/stamp.hpp). A time more than 71.6 min past that base
+/// stores StampBase::kNoFit and goes, exact, to a sorted exception list.
+/// Long streamed runs call compact_before(horizon) once per fold to drop
+/// the *times* of chunks older than the judgment horizon; that hands whole
 /// pages back to the pool, it moves no entry. Delivery counts and presence
 /// survive, so memory is O(window), not O(stream length). find() returns
-/// nullptr for a folded chunk; callers that need folded times must consume
+/// nullopt for a folded chunk; callers that need folded times must consume
 /// them before the fold (src/runtime/experiment.cpp's streamed health
 /// does).
 class DeliveryLog {
+  /// A chunk id and its exact delivery time, for a time whose stamp did
+  /// not fit.
+  using Late = std::pair<std::size_t, TimePoint>;
+
  public:
   [[nodiscard]] bool contains(ChunkId id) const noexcept {
     const auto v = static_cast<std::size_t>(id.value());
@@ -60,13 +69,13 @@ class DeliveryLog {
            (present_[word] >> (v % 64) & 1ULL) != 0;
   }
 
-  /// Delivery time of `id`, or nullptr when the chunk never arrived (or
+  /// Delivery time of `id`, or nullopt when the chunk never arrived (or
   /// its time was folded away by compact_before).
-  [[nodiscard]] const TimePoint* find(ChunkId id) const noexcept {
-    if (!contains(id)) return nullptr;
+  [[nodiscard]] std::optional<TimePoint> find(ChunkId id) const noexcept {
+    if (!contains(id)) return std::nullopt;
     const auto v = static_cast<std::size_t>(id.value());
-    if (v < base_ || v - base_ >= at_.size()) return nullptr;
-    return &at_[v - base_];
+    if (v < base_ || v - base_ >= at_.size()) return std::nullopt;
+    return time_at(v);
   }
 
   /// Records the first delivery of `id`. Precondition: !contains(id).
@@ -79,8 +88,11 @@ class DeliveryLog {
     present_[word] |= 1ULL << (v % 64);
     ++size_;
     if (v < base_) return;  // delivered after its window folded: count only
-    while (at_.size() <= v - base_) at_.push_slot() = TimePoint::min();
-    at_[v - base_] = at;
+    while (at_.size() <= v - base_) at_.push_slot() = StampBase::kNoFit;
+    const StampBase::Stamp s = stamps_.encode(at);
+    at_[v - base_] = s;
+    if (s != StampBase::kNoFit) return;
+    late_.insert(late_bound(v), {v, at});
   }
 
   /// Number of chunks delivered (folded entries included).
@@ -101,6 +113,7 @@ class DeliveryLog {
     if (h <= base_) return;
     at_.pop_front(std::min(h - base_, at_.size()));
     base_ = h;
+    late_.erase(late_.begin(), late_bound(h));
   }
 
   /// First id whose delivery time is still retained (0 when never folded).
@@ -117,7 +130,7 @@ class DeliveryLog {
     }
     [[nodiscard]] std::pair<ChunkId, TimePoint> operator*() const {
       return {ChunkId{static_cast<ChunkId::rep_type>(v_)},
-              log_->at_[v_ - log_->base_]};
+              log_->time_at(v_)};
     }
     const_iterator& operator++() {
       ++v_;
@@ -150,10 +163,29 @@ class DeliveryLog {
   }
 
  private:
+  /// Time of the present chunk `v` (base_ <= v < base_ + at_.size()).
+  [[nodiscard]] TimePoint time_at(std::size_t v) const noexcept {
+    const StampBase::Stamp s = at_[v - base_];
+    if (s != StampBase::kNoFit) return stamps_.decode(s);
+    const auto it = late_bound(v);
+    LIFTING_ASSERT(it != late_.end() && it->first == v,
+                   "delivery time missing from the exception list");
+    return it->second;
+  }
+  /// First exception entry with id >= `v`.
+  [[nodiscard]] RecycledVector<Late>::const_iterator late_bound(
+      std::size_t v) const noexcept {
+    return std::lower_bound(
+        late_.begin(), late_.end(), v,
+        [](const Late& e, std::size_t id) { return e.first < id; });
+  }
+
   RecycledVector<std::uint64_t> present_;  // 1 bit per chunk id, full stream
-  RingLog<TimePoint> at_;                  // delivery times, ids >= base_
-  std::size_t base_ = 0;                // id of at_[0]
-  std::size_t size_ = 0;                // chunks delivered, ever
+  RingLog<StampBase::Stamp> at_;           // delivery stamps, ids >= base_
+  StampBase stamps_;                       // based at the first record
+  RecycledVector<Late> late_;              // stamps that did not fit, by id
+  std::size_t base_ = 0;                   // id of at_[0]
+  std::size_t size_ = 0;                   // chunks delivered, ever
 };
 
 /// A node's outstanding chunk requests: (chunk, deadline) entries on
@@ -164,7 +196,8 @@ class DeliveryLog {
 /// last entry into the served one's slot. So the ring holds only the
 /// requests still outstanding — a served one leaves at once, a lost one
 /// at the first add() after its deadline — and its pages track that
-/// count, not its all-time high-water.
+/// count, not its all-time high-water. Deadlines are 32-bit stamps
+/// (src/common/stamp.hpp), so an entry is 8 B.
 class PendingRequests {
  public:
   /// Deadline of the request for `id`; TimePoint::min() when the chunk
@@ -175,7 +208,7 @@ class PendingRequests {
     entries_.scan_back([&](std::span<const Entry> page) {
       for (const Entry& e : page) {
         if (e.chunk == id) {
-          until = e.until;
+          until = stamps_.decode(e.until);
           return true;
         }
       }
@@ -191,7 +224,7 @@ class PendingRequests {
     bool stale = false;
     entries_.scan_back([&](std::span<const Entry> page) {
       for (const Entry& e : page) {
-        if (e.chunk == id || e.until <= now) stale = true;
+        if (e.chunk == id || stamps_.decode(e.until) <= now) stale = true;
       }
       return stale;
     });
@@ -199,11 +232,14 @@ class PendingRequests {
       std::size_t keep = 0;
       for (std::size_t i = 0; i < entries_.size(); ++i) {
         const Entry e = entries_[i];
-        if (e.chunk != id && e.until > now) entries_[keep++] = e;
+        if (e.chunk != id && stamps_.decode(e.until) > now) {
+          entries_[keep++] = e;
+        }
       }
       entries_.pop_back(entries_.size() - keep);
     }
-    entries_.push_slot() = Entry{id, until};
+    const StampBase::Stamp s = stamps_.stamp(until, entries_, &Entry::until);
+    entries_.push_slot() = Entry{id, s};
   }
 
   /// A serve of `id` arrived: its request is no longer outstanding.
@@ -232,9 +268,11 @@ class PendingRequests {
  private:
   struct Entry {
     ChunkId chunk;
-    TimePoint until;
+    StampBase::Stamp until;
   };
+  static_assert(sizeof(Entry) == 8);
   RingLog<Entry> entries_;
+  StampBase stamps_;
 };
 
 }  // namespace lifting::gossip

@@ -40,8 +40,8 @@ std::vector<HealthPoint> health_curve(
     for (const auto* deliveries : node_deliveries) {
       std::size_t on_time = 0;
       for (const auto* chunk : eligible) {
-        const TimePoint* at = deliveries->find(chunk->id);
-        if (at != nullptr && *at <= chunk->emitted_at + lag) {
+        const auto at = deliveries->find(chunk->id);
+        if (at && *at <= chunk->emitted_at + lag) {
           ++on_time;
         }
       }
@@ -63,8 +63,8 @@ double mean_delivery_lag(const std::vector<ChunkMeta>& emitted,
   double total = 0.0;
   std::size_t count = 0;
   for (const auto& chunk : emitted) {
-    const TimePoint* at = deliveries.find(chunk.id);
-    if (at == nullptr) continue;
+    const auto at = deliveries.find(chunk.id);
+    if (!at) continue;
     total += to_seconds(*at - chunk.emitted_at);
     ++count;
   }

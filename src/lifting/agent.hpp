@@ -158,6 +158,11 @@ class Agent final : public gossip::EngineObserver {
   [[nodiscard]] const ReceivedProposalLog& received_log() const noexcept {
     return received_log_;
   }
+  /// Bytes the verifiers' tracker tables hold (DirectVerifier and
+  /// CrossChecker capacity).
+  [[nodiscard]] std::size_t verifier_table_bytes() const noexcept {
+    return direct_verifier_.table_bytes() + cross_checker_.table_bytes();
+  }
   /// The audit trail, or null when the deployment does not audit.
   [[nodiscard]] const AuditTrail* audit_trail() const noexcept {
     return audit_trail_ ? &*audit_trail_ : nullptr;

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/ring_log.hpp"
+#include "common/stamp.hpp"
 #include "common/time.hpp"
 #include "common/types.hpp"
 #include "gossip/message.hpp"
@@ -34,13 +35,17 @@
 /// parts live back to back in rings: entry i's run follows entry i-1's.
 /// Chunk ids are stored as varint runs (detail::encode_run below): the ids
 /// of one proposal sit close together in the stream, so a run costs about
-/// one byte per id instead of four. An entry costs a 24-byte key plus its
-/// encoded run (at most 5 bytes per id). The witness scans walk the keys
-/// page by page, newest first, and decode only the runs of the proposer
-/// asked about; a run may cross a page boundary, so run readers take it
-/// in page-contiguous pieces. The window only ever evicts from the front
-/// and appends at the back, so a log holds the pages its window touches
-/// and hands each page back to the thread's pool as pruning empties it.
+/// one byte per id instead of four. Times are 32-bit stamps from a
+/// per-log base (src/common/stamp.hpp): a log rebases when a new stamp
+/// would not fit, which the retention window (well under 71.6 min) keeps
+/// exact. An entry costs a 16-byte key plus its encoded run (at most 5
+/// bytes per id); a confirm-asker entry is 12 bytes. The witness scans
+/// walk the keys page by page, newest first, and decode only the runs of
+/// the proposer asked about; a run may cross a page boundary, so run
+/// readers take it in page-contiguous pieces. The window only ever evicts
+/// from the front and appends at the back, so a log holds the pages its
+/// window touches and hands each page back to the thread's pool as
+/// pruning empties it.
 /// These rings hold plain keys, ids and bytes, so RingLog's slot-payload
 /// recycling contract does not concern them.
 
@@ -119,12 +124,13 @@ class SentProposalHistory {
               const gossip::ChunkIdList& chunks) {
     partners_.append(partners.begin(), partners.size());
     const std::uint32_t bytes = detail::encode_run(chunks, chunks_);
+    const StampBase::Stamp stamp = stamps_.stamp(at, keys_, &Key::at);
     keys_.push_slot() =
-        Key{at, period, static_cast<std::uint32_t>(partners.size()), bytes};
+        Key{stamp, period, static_cast<std::uint32_t>(partners.size()), bytes};
   }
 
   void prune(TimePoint cutoff) {
-    while (!keys_.empty() && keys_.front().at < cutoff) {
+    while (!keys_.empty() && stamps_.decode(keys_.front().at) < cutoff) {
       partners_.pop_front(keys_.front().partners);
       chunks_.pop_front(keys_.front().chunks);
       keys_.pop_front();
@@ -155,15 +161,16 @@ class SentProposalHistory {
 
  private:
   struct Key {
-    TimePoint at{};
+    StampBase::Stamp at = 0;
     PeriodIndex period = 0;
     std::uint32_t partners = 0;  // run length in partners_
     std::uint32_t chunks = 0;    // encoded run length in chunks_, bytes
   };
-  static_assert(sizeof(Key) == 24);
+  static_assert(sizeof(Key) == 16);
   RingLog<Key> keys_;
   RingLog<NodeId> partners_;
   RingLog<std::uint8_t> chunks_;
+  StampBase stamps_;
 };
 
 class ReceivedProposalLog {
@@ -171,11 +178,12 @@ class ReceivedProposalLog {
   void record(TimePoint at, NodeId from, PeriodIndex period,
               const gossip::ChunkIdList& chunks) {
     const std::uint32_t bytes = detail::encode_run(chunks, chunks_);
-    keys_.push_slot() = Key{at, from, period, bytes};
+    const StampBase::Stamp stamp = stamps_.stamp(at, keys_, &Key::at);
+    keys_.push_slot() = Key{stamp, from, period, bytes};
   }
 
   void prune(TimePoint cutoff) {
-    while (!keys_.empty() && keys_.front().at < cutoff) {
+    while (!keys_.empty() && stamps_.decode(keys_.front().at) < cutoff) {
       chunks_.pop_front(keys_.front().chunks);
       keys_.pop_front();
     }
@@ -204,7 +212,9 @@ class ReceivedProposalLog {
     bool found = false;
     keys_.scan_back([&](std::span<const Key> page) {
       for (auto k = page.rbegin(); k != page.rend(); ++k) {
-        if (k->at < since) return true;  // entries are time-ordered
+        if (stamps_.decode(k->at) < since) {
+          return true;  // entries are time-ordered
+        }
         run_end -= k->chunks;
         if (k->from != subject) continue;
         run.clear();
@@ -226,27 +236,29 @@ class ReceivedProposalLog {
 
  private:
   struct Key {
-    TimePoint at{};
+    StampBase::Stamp at = 0;
     NodeId from{};
     PeriodIndex period = 0;
     std::uint32_t chunks = 0;  // encoded run length in chunks_, bytes
   };
-  static_assert(sizeof(Key) == 24);
+  static_assert(sizeof(Key) == 16);
   RingLog<Key> keys_;
   RingLog<std::uint8_t> chunks_;
+  StampBase stamps_;
 };
 
 class ConfirmAskerLog {
  public:
   void record(TimePoint at, NodeId subject, NodeId asker) {
+    const StampBase::Stamp stamp = stamps_.stamp(at, entries_, &Entry::at);
     Entry& e = entries_.push_slot();
-    e.at = at;
+    e.at = stamp;
     e.subject = subject;
     e.asker = asker;
   }
 
   void prune(TimePoint cutoff) {
-    while (!entries_.empty() && entries_.front().at < cutoff) {
+    while (!entries_.empty() && stamps_.decode(entries_.front().at) < cutoff) {
       entries_.pop_front();
     }
   }
@@ -266,11 +278,13 @@ class ConfirmAskerLog {
 
  private:
   struct Entry {
-    TimePoint at{};
+    StampBase::Stamp at = 0;
     NodeId subject{};
     NodeId asker{};
   };
+  static_assert(sizeof(Entry) == 12);
   RingLog<Entry> entries_;
+  StampBase stamps_;
 };
 
 /// The two logs only the §5.3 audits read: the node's own sent proposals

@@ -341,6 +341,11 @@ class ManagerStore {
   [[nodiscard]] double per_period_compensation() const noexcept {
     return per_period_compensation_;
   }
+  /// Bytes the record table's capacity holds (the memory layer table).
+  [[nodiscard]] std::size_t table_bytes() const noexcept {
+    return keys_.capacity() * sizeof(NodeId) +
+           recs_.capacity() * sizeof(Record);
+  }
 
  private:
   struct Record {

@@ -5,6 +5,7 @@
 
 #include "analysis/formulas.hpp"
 #include "common/assert.hpp"
+#include "common/stamp.hpp"
 #include "common/time.hpp"
 
 /// LiFTinG configuration (paper §5 and §7.1). One instance is shared by all
@@ -168,6 +169,8 @@ struct LiftingParams {
     require(eta < 0.0, "eta must be negative");
     require(gamma >= 0.0, "gamma must be non-negative");
     require(history_window >= period, "history must span >= one period");
+    require(history_window + period < StampBase::kReach,
+            "history must fit a log stamp's reach (71.6 min)");
     require(history_retention == Duration::zero() ||
                 (history_retention <= history_window &&
                  history_retention >= period * (kConfirmWindowPeriods + 1)),

@@ -141,11 +141,15 @@ void CrossChecker::on_ack_received(NodeId from, const gossip::AckMsg& ack) {
     // Bound the table against the advancing period horizon: anything
     // older than the in-flight window (ack_timeout spans ~2 periods) can
     // no longer be duplicated by a delay/reorder fault worth modeling.
+    // Pruning each time the table doubles keeps it within about twice
+    // the window at amortized O(1) per insert.
     constexpr PeriodIndex kFanoutCheckedWindow = 16;
-    if (fanout_checked_.size() >= 1024) {
+    if (fanout_checked_.size() >= fanout_prune_at_) {
       std::erase_if(fanout_checked_, [&](const auto& e) {
         return e.second + kFanoutCheckedWindow < ack.period;
       });
+      fanout_prune_at_ =
+          std::max(kFanoutPruneFloor, 2 * fanout_checked_.size());
     }
     fanout_checked_.insert(
         std::lower_bound(fanout_checked_.begin(), fanout_checked_.end(),

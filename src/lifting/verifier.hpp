@@ -74,6 +74,10 @@ class DirectVerifier {
   [[nodiscard]] std::uint64_t verifications_completed() const noexcept {
     return completed_;
   }
+  /// Bytes the pending table's capacity holds (the memory layer table).
+  [[nodiscard]] std::size_t table_bytes() const noexcept {
+    return pending_.capacity() * sizeof(Pending);
+  }
 
  private:
   struct Key {
@@ -135,6 +139,18 @@ class CrossChecker {
 
   [[nodiscard]] std::uint64_t confirm_rounds_started() const noexcept {
     return rounds_started_;
+  }
+  /// (receiver, ack period) pairs whose fanout was judged and not yet
+  /// pruned.
+  [[nodiscard]] std::size_t fanout_checked_size() const noexcept {
+    return fanout_checked_.size();
+  }
+  /// Bytes the three tracker tables' capacity holds (the memory layer
+  /// table).
+  [[nodiscard]] std::size_t table_bytes() const noexcept {
+    return batches_.capacity() * sizeof(Batch) +
+           rounds_.capacity() * sizeof(ConfirmRound) +
+           fanout_checked_.capacity() * sizeof(fanout_checked_[0]);
   }
 
  private:
@@ -200,8 +216,12 @@ class CrossChecker {
   /// judged — a transport-level duplicate of an ack must not double-blame
   /// kFanoutDecrease (each ack asserts ONE propose phase's partner set).
   /// Sorted flat vector; pruned against the advancing period horizon so it
-  /// stays bounded by the in-flight window.
+  /// stays bounded by the in-flight window: once it reaches
+  /// fanout_prune_at_ entries, which is twice its size after the last
+  /// prune and at least kFanoutPruneFloor.
   RecycledVector<std::pair<NodeId, PeriodIndex>> fanout_checked_;
+  static constexpr std::size_t kFanoutPruneFloor = 64;
+  std::size_t fanout_prune_at_ = kFanoutPruneFloor;
   std::uint64_t generation_ = 0;
   std::uint64_t rounds_started_ = 0;
 };

@@ -957,8 +957,8 @@ void Experiment::fold_streamed_health() {
     if (chunk.emitted_at < warmup_end) continue;  // ineligible at every lag
     ++streamed_.folded_eligible;
     for (std::uint32_t v = 1; v < population(); ++v) {
-      const TimePoint* at = nodes_[v].engine().delivery_times().find(chunk.id);
-      if (at == nullptr) continue;  // never arrived: on time nowhere
+      const auto at = nodes_[v].engine().delivery_times().find(chunk.id);
+      if (!at) continue;  // never arrived: on time nowhere
       auto* counters = &streamed_.on_time[static_cast<std::size_t>(v) * nlags];
       for (std::size_t j = 0; j < nlags; ++j) {
         if (*at <= chunk.emitted_at + seconds(streamed_.lags_seconds[j])) {
@@ -1017,9 +1017,9 @@ std::vector<gossip::HealthPoint> Experiment::streamed_health_curve() {
       if (chunk.emitted_at + window_lag > end) continue;
       ++eligible;
       for (std::size_t k = 0; k < included.size(); ++k) {
-        const TimePoint* at =
+        const auto at =
             nodes_[included[k]].engine().delivery_times().find(chunk.id);
-        if (at != nullptr && *at <= chunk.emitted_at + lag) {
+        if (at && *at <= chunk.emitted_at + lag) {
           ++tail_on_time[k];
         }
       }
@@ -1100,8 +1100,11 @@ void Experiment::collect_metrics(obs::Registry& out) const {
     out.set_counter(std::string("engine.").append(name), engines.*field);
   }
   // The memory layer table (DESIGN.md §9): RingLog pages each per-node
-  // log holds now, summed over every id's current stack (a departed node
-  // keeps its logs, so it counts too).
+  // log holds now and the bytes of the verifier and manager tables,
+  // summed over every id's current stack (a departed node keeps its
+  // state, so it counts too).
+  std::uint64_t verifier_bytes = 0;
+  std::uint64_t manager_bytes = 0;
   std::uint64_t sent_pages = 0;
   std::uint64_t asker_pages = 0;
   std::uint64_t received_pages = 0;
@@ -1112,6 +1115,8 @@ void Experiment::collect_metrics(obs::Registry& out) const {
     engine_pages += node.engine().period_state_pages();
     const auto* agent = node.agent();
     if (agent == nullptr) continue;
+    verifier_bytes += agent->verifier_table_bytes();
+    manager_bytes += agent->manager_store().table_bytes();
     received_pages += agent->received_log().pages();
     if (const auto* trail = agent->audit_trail()) {
       sent_pages += trail->sent.pages();
@@ -1123,6 +1128,8 @@ void Experiment::collect_metrics(obs::Registry& out) const {
   out.set_counter("mem.pages.received_log", received_pages);
   out.set_counter("mem.pages.delivery_times", delivery_pages);
   out.set_counter("mem.pages.engine", engine_pages);
+  out.set_counter("mem.verifier_table_bytes", verifier_bytes);
+  out.set_counter("mem.manager_table_bytes", manager_bytes);
   out.set_counter("blame.ledger_emissions", ledger_.emissions());
   out.set_counter("expulsions.applied", expulsions_.size());
   out.set_counter("handoffs.executed", handoffs_.size());

@@ -3,7 +3,9 @@
 #include <set>
 #include <unordered_set>
 
+#include "common/ring_log.hpp"
 #include "common/rng.hpp"
+#include "common/stamp.hpp"
 #include "common/table.hpp"
 #include "common/time.hpp"
 #include "common/types.hpp"
@@ -50,6 +52,66 @@ TEST(SimTime, ConversionsRoundTrip) {
 TEST(SimTime, PeriodArithmetic) {
   const Duration tg = milliseconds(500);
   EXPECT_EQ(seconds(25.0) / tg, 50);  // n_h = h / Tg
+}
+
+// --------------------------------------------------------------- stamps
+
+TEST(StampBase, RoundTripsUpToTheReachAndFlagsWhatDoesNotFit) {
+  StampBase stamps;
+  const TimePoint base = kSimEpoch + seconds(7.5);
+  EXPECT_EQ(stamps.encode(base), 0u);  // the first time sets the base
+  EXPECT_EQ(stamps.decode(0), base);
+  EXPECT_EQ(StampBase::kReach.count(), (std::int64_t{1} << 32) - 2);
+  const TimePoint last = base + StampBase::kReach;
+  EXPECT_EQ(stamps.encode(last), 0xFFFFFFFEu);
+  EXPECT_EQ(stamps.decode(stamps.encode(last)), last);
+  const TimePoint mid = base + std::chrono::minutes(40) + microseconds(3);
+  EXPECT_EQ(stamps.decode(stamps.encode(mid)), mid);
+  EXPECT_EQ(stamps.encode(last + microseconds(1)), StampBase::kNoFit);
+  EXPECT_EQ(stamps.encode(base - microseconds(1)), StampBase::kNoFit);
+  EXPECT_EQ(stamps.encode(base), 0u);  // the base stays where it was set
+}
+
+struct StampedEntry {
+  StampBase::Stamp at = 0;
+  int value = 0;
+};
+
+/// Appends `value` at time `t` the way the windowed logs do.
+void push_stamped(StampBase& stamps, RingLog<StampedEntry>& ring,
+                  TimePoint t, int value) {
+  const StampBase::Stamp at = stamps.stamp(t, ring, &StampedEntry::at);
+  ring.push_slot() = StampedEntry{at, value};
+}
+
+TEST(StampBase, WindowedStampRebasesOntoTheOldestLiveTime) {
+  StampBase stamps;
+  RingLog<StampedEntry> ring;
+  const TimePoint t0 = kSimEpoch + std::chrono::hours(5);
+  const auto minutes = [](int m) { return Duration{std::chrono::minutes(m)}; };
+  push_stamped(stamps, ring, t0, 0);
+  push_stamped(stamps, ring, t0 + minutes(50), 1);
+  push_stamped(stamps, ring, t0 + minutes(60), 2);
+  ring.pop_front();  // the window slides past t0
+  // 80 min past the base: the log rebases onto its oldest live entry.
+  push_stamped(stamps, ring, t0 + minutes(80), 3);
+  ASSERT_EQ(ring.size(), 3u);
+  EXPECT_EQ(ring[0].at, 0u);
+  EXPECT_EQ(stamps.decode(ring[0].at), t0 + minutes(50));
+  EXPECT_EQ(stamps.decode(ring[1].at), t0 + minutes(60));
+  EXPECT_EQ(stamps.decode(ring[2].at), t0 + minutes(80));
+  EXPECT_EQ(ring[2].value, 3);
+
+  // A gap past the reach with the window left unpruned: an entry older
+  // than kReach before the new time reads as exactly that old, so it
+  // still sorts before every later cutoff; the rest stay exact.
+  const TimePoint late = t0 + minutes(125);
+  push_stamped(stamps, ring, late, 4);
+  ASSERT_EQ(ring.size(), 4u);
+  EXPECT_EQ(stamps.decode(ring[0].at), late - StampBase::kReach);
+  EXPECT_EQ(stamps.decode(ring[1].at), t0 + minutes(60));
+  EXPECT_EQ(stamps.decode(ring[2].at), t0 + minutes(80));
+  EXPECT_EQ(stamps.decode(ring[3].at), late);
 }
 
 // ----------------------------------------------------------------- rng

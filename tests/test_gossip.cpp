@@ -520,7 +520,7 @@ TEST(PendingRequests, HoldOnlyOutstandingRequests) {
 
   // Three pages of requests expire together: the ring gives back every
   // page but the one holding the new entry.
-  constexpr std::uint32_t kThreePages = 3 * kPageBytes / 16;  // 16 B each
+  constexpr std::uint32_t kThreePages = 3 * kPageBytes / 8;  // 8 B each
   for (std::uint32_t i = 0; i < kThreePages; ++i) {
     pending.add(ChunkId{100 + i}, t3 + timeout, t3);
   }
@@ -774,7 +774,7 @@ TEST(Playback, MeanLag) {
 }
 
 TEST(DeliveryLog, CompactBeforeReleasesWholePages) {
-  constexpr std::uint32_t kPer = RingLog<TimePoint>::kPerPage;
+  constexpr std::uint32_t kPer = RingLog<StampBase::Stamp>::kPerPage;
   DeliveryLog log;
   const auto at = [](std::uint32_t id) {
     return kSimEpoch + milliseconds(10) * id;
@@ -795,11 +795,11 @@ TEST(DeliveryLog, CompactBeforeReleasesWholePages) {
     const ChunkId id{i};
     ASSERT_EQ(log.contains(id), i % 7 != 3) << i;
     if (i < fold && log.contains(id)) ++folded;
-    const TimePoint* t = log.find(id);
+    const auto t = log.find(id);
     if (i < fold || i % 7 == 3) {
-      ASSERT_EQ(t, nullptr) << i;
+      ASSERT_FALSE(t) << i;
     } else {
-      ASSERT_NE(t, nullptr) << i;
+      ASSERT_TRUE(t) << i;
       EXPECT_EQ(*t, at(i));
     }
   }
@@ -815,9 +815,60 @@ TEST(DeliveryLog, CompactBeforeReleasesWholePages) {
   log.compact_before(ChunkId{12 * kPer});
   EXPECT_EQ(detail::PagePool::idle_bytes(), idle + 10 * kPageBytes);
   log.record(ChunkId{12 * kPer + 3}, at(5));
-  ASSERT_NE(log.find(ChunkId{12 * kPer + 3}), nullptr);
+  ASSERT_TRUE(log.find(ChunkId{12 * kPer + 3}));
   EXPECT_EQ(*log.find(ChunkId{12 * kPer + 3}), at(5));
-  EXPECT_EQ(log.find(ChunkId{12 * kPer}), nullptr);
+  EXPECT_FALSE(log.find(ChunkId{12 * kPer}));
+}
+
+TEST(DeliveryLog, ExactTimesAcrossAGapPastTheStampReach) {
+  // Chunks from page 4 on arrive 75 min later than the first record, past
+  // a stamp's 71.6 min reach: their times go to the exception list, some
+  // out of id order, and every read still returns them exactly.
+  constexpr std::uint32_t kPer = RingLog<StampBase::Stamp>::kPerPage;
+  const Duration gap = std::chrono::minutes(75);
+  const auto at = [&](std::uint32_t id) {
+    return kSimEpoch + seconds(3.0) + milliseconds(10) * id +
+           (id >= 4 * kPer ? gap : Duration::zero());
+  };
+  const auto delivered = [](std::uint32_t id) { return id % 5 != 2; };
+  DeliveryLog log;
+  for (std::uint32_t i = 0; i < 6 * kPer; ++i) {
+    if (delivered(i)) log.record(ChunkId{i}, at(i));
+  }
+  for (std::uint32_t i = 8 * kPer; i-- > 6 * kPer;) {  // newest first
+    if (delivered(i)) log.record(ChunkId{i}, at(i));
+  }
+  const auto expect_exact = [&](std::uint32_t from) {
+    for (std::uint32_t i = 0; i < 8 * kPer; ++i) {
+      const auto t = log.find(ChunkId{i});
+      if (i < from || !delivered(i)) {
+        ASSERT_FALSE(t) << i;
+      } else {
+        ASSERT_TRUE(t) << i;
+        EXPECT_EQ(*t, at(i)) << i;
+      }
+    }
+    std::size_t iterated = 0;
+    for (const auto& [id, t] : log) {
+      EXPECT_GE(id.value(), from);
+      EXPECT_EQ(t, at(id.value())) << id.value();
+      ++iterated;
+    }
+    std::size_t want = 0;
+    for (std::uint32_t i = from; i < 8 * kPer; ++i) want += delivered(i);
+    EXPECT_EQ(iterated, want);
+  };
+  expect_exact(0);
+  EXPECT_EQ(log.pages(), 8u);
+
+  // Folding past the gap still hands back whole pages, and the times left
+  // on both sides of the fold line stay exact.
+  const std::size_t idle = detail::PagePool::idle_bytes();
+  const std::uint32_t fold = 5 * kPer + 7;
+  log.compact_before(ChunkId{fold});
+  EXPECT_EQ(detail::PagePool::idle_bytes(), idle + 5 * kPageBytes);
+  EXPECT_EQ(log.pages(), 3u);
+  expect_exact(fold);
 }
 
 TEST(StreamSource, EmitsAtConfiguredRate) {

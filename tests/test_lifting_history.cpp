@@ -255,6 +255,67 @@ TEST(ReceivedProposalLog, MatchesNaiveReferenceAcrossIdRingWraps) {
   }
 }
 
+TEST(ReceivedProposalLog, MatchesNaiveReferenceAcrossGapsPastTheStampReach) {
+  // A clock that starts hours in (as a daemon's does) and twice jumps
+  // 75 min, past a stamp's 71.6 min reach, sometimes before the window is
+  // pruned: has, confirms and prune must answer as a log that stores each
+  // time whole.
+  struct Ref {
+    TimePoint at;
+    NodeId from;
+    PeriodIndex period;
+    gossip::ChunkIdList chunks;
+  };
+  std::deque<Ref> ref;
+  ReceivedProposalLog log;
+  Pcg32 rng(5, 3);
+  TimePoint now = kSimEpoch + std::chrono::hours(5);
+  std::uint32_t next_chunk = 0;
+  for (PeriodIndex p = 0; p < 600; ++p) {
+    now += p % 200 == 199 ? Duration{std::chrono::minutes(75)}
+                          : milliseconds(100);
+    gossip::ChunkIdList chunks;
+    for (std::uint32_t i = 1 + rng.below(12); i-- > 0;) {
+      chunks.push_back(ChunkId{next_chunk++});
+    }
+    const NodeId from{rng.below(5)};
+    log.record(now, from, p / 2, chunks);
+    ref.push_back(Ref{now, from, p / 2, chunks});
+    if (p % 4 == 3) {
+      const TimePoint cutoff = now - milliseconds(1000);
+      log.prune(cutoff);
+      while (!ref.empty() && ref.front().at < cutoff) ref.pop_front();
+    }
+    ASSERT_EQ(log.size(), ref.size()) << "p=" << p;
+
+    const NodeId subject{rng.below(5)};
+    const PeriodIndex period =
+        p / 2 - std::min<PeriodIndex>(p / 2, rng.below(8));
+    const bool want_has =
+        std::any_of(ref.begin(), ref.end(), [&](const Ref& r) {
+          return r.from == subject && r.period == period;
+        });
+    ASSERT_EQ(log.has(subject, period), want_has) << "p=" << p;
+
+    gossip::ChunkIdList query;
+    const std::uint32_t first =
+        next_chunk - 1 - rng.below(std::min(next_chunk, 60u));
+    for (std::uint32_t i = rng.below(3); i-- > 0;) {
+      query.push_back(ChunkId{first + i});
+    }
+    const TimePoint since = now - milliseconds(100) * rng.below(12);
+    const bool want_confirm =
+        std::any_of(ref.begin(), ref.end(), [&](const Ref& r) {
+          if (r.at < since || r.from != subject) return false;
+          return std::all_of(query.begin(), query.end(), [&](ChunkId c) {
+            return std::find(r.chunks.begin(), r.chunks.end(), c) !=
+                   r.chunks.end();
+          });
+        });
+    ASSERT_EQ(log.confirms(subject, query, since), want_confirm) << "p=" << p;
+  }
+}
+
 /// A chunk-id run in one of the shapes the varint codec must round-trip:
 /// neighbouring ids out of order, duplicates, steps across the full 32-bit
 /// range, or nothing at all.

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <vector>
 
@@ -324,6 +325,38 @@ TEST(CrossChecker, LongBatchCoveredByShuffledAck) {
   ASSERT_EQ(fx.blames.size(), 1u);  // only the unacked neighbour
   EXPECT_EQ(fx.blames[0].target, NodeId{3});
   EXPECT_EQ(fx.blames[0].reason, gossip::BlameReason::kInvalidAck);
+}
+
+TEST(CrossChecker, FanoutCheckedTableStaysWithinTwiceItsWindow) {
+  // Eight receivers ack every period for 200 periods, each ack claiming
+  // f̂ = 4. The 16-period window holds 17 periods of pairs; pruning each
+  // time the table doubles keeps it within twice that. Replaying an ack
+  // from 8 periods back, inside the window, blames nothing new.
+  VerifierFixture fx;
+  fx.params.p_dcc = 0.0;
+  CrossChecker cc(fx.sim, fx.params, NodeId{0}, fx.rng, fx.blame_fn(),
+                  fx.send_fn());
+  constexpr std::uint32_t kReceivers = 8;
+  constexpr PeriodIndex kPeriods = 200;
+  std::size_t high = 0;
+  for (PeriodIndex p = 1; p <= kPeriods; ++p) {
+    for (std::uint32_t r = 0; r < kReceivers; ++r) {
+      const NodeId to{100 + r};
+      cc.on_chunks_served(to, p, {ChunkId{p}});
+      cc.on_ack_received(to, make_ack(p, {ChunkId{p}}, 4));
+      if (p > 8) cc.on_ack_received(to, make_ack(p - 8, {ChunkId{p}}, 4));
+    }
+    high = std::max(high, cc.fanout_checked_size());
+  }
+  EXPECT_LE(high, 2 * 17 * kReceivers);
+  fx.sim.run();
+  std::size_t fanout_blames = 0;
+  for (const auto& b : fx.blames) {
+    ASSERT_EQ(b.reason, gossip::BlameReason::kFanoutDecrease);
+    EXPECT_DOUBLE_EQ(b.value, 3.0);
+    ++fanout_blames;
+  }
+  EXPECT_EQ(fanout_blames, kPeriods * kReceivers);
 }
 
 }  // namespace
