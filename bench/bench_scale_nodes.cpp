@@ -8,9 +8,11 @@
 /// simulated second — so substrate regressions show up as numbers, not
 /// vibes, plus the memory columns the million-node rows are budgeted by:
 /// heap high-water bytes per node (counting operator new, see
-/// bench/alloc_tally.hpp) and process peak RSS. Larger populations run a
-/// shorter simulated horizon to keep the bench's wall-clock budget
-/// flat-ish across rows.
+/// bench/alloc_tally.hpp) and process peak RSS. The set-up layer gets its
+/// own two columns: the heap high water of the build phase alone and the
+/// minor page faults it took (what a node costs before any event runs).
+/// Larger populations run a shorter simulated horizon to keep the bench's
+/// wall-clock budget flat-ish across rows.
 ///
 /// Rows above kDietNodes run the memory-diet configuration: streamed
 /// health (Experiment::enable_streamed_health — delivery logs fold into
@@ -36,6 +38,7 @@
 #include <cstring>
 #include <optional>
 #include <string>
+#include <sys/resource.h>
 #include <thread>
 #include <vector>
 
@@ -101,6 +104,10 @@ struct Row {
   double health = 0.0;  // fraction of honest nodes clear at 5 s lag
   bool streamed = false;
   std::uint64_t heap_high_water = 0;  // peak live heap growth of the row
+  /// The build phase alone (Experiment construction): its heap high water
+  /// and the minor page faults the process took meanwhile.
+  std::uint64_t build_heap_high_water = 0;
+  std::uint64_t build_minor_faults = 0;
   std::uint64_t peak_rss_kb = 0;      // process-global, monotone
   /// Recycled memory no structure holds at row end: RingLog pages in the
   /// page pool plus SpillCache free-list blocks. Memory that growth
@@ -113,7 +120,17 @@ struct Row {
   [[nodiscard]] double bytes_per_node() const {
     return static_cast<double>(heap_high_water) / nodes;
   }
+  [[nodiscard]] double build_bytes_per_node() const {
+    return static_cast<double>(build_heap_high_water) / nodes;
+  }
 };
+
+/// Minor page faults this process has taken so far.
+std::uint64_t minor_faults() {
+  struct rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return static_cast<std::uint64_t>(ru.ru_minflt);
+}
 
 Row run(std::uint32_t n) {
   Row row;
@@ -129,6 +146,7 @@ Row run(std::uint32_t n) {
 
   bench::reset_live_high_water();
   const auto mem_start = bench::AllocSnapshot::now();
+  const std::uint64_t faults_start = minor_faults();
   std::optional<runtime::Experiment> ex;
   {
     obs::ScopedTimer t(row.metrics, "phase.build");
@@ -138,6 +156,9 @@ Row run(std::uint32_t n) {
                                  /*fold_interval=*/seconds(1.0));
     }
   }
+  row.build_minor_faults = minor_faults() - faults_start;
+  row.build_heap_high_water =
+      bench::AllocSnapshot::now().high_water_since(mem_start);
   const auto t0 = std::chrono::steady_clock::now();
   {
     obs::ScopedTimer t(row.metrics, "phase.run");
@@ -182,9 +203,11 @@ void write_json(const char* path, const std::vector<Row>& rows,
   // schema_version 2: rows carry the folded obs::Registry counters
   // ("metrics") and the scoped phase timers ("phase_seconds").
   // schema_version 3: rows carry "pool_idle_bytes".
+  // schema_version 4: rows carry the build phase's "build_minor_faults" and
+  // "build_bytes_per_node" (its heap high water per node).
   std::fprintf(f,
                "{\n  \"bench\": \"bench_scale_nodes\",\n"
-               "  \"schema_version\": 3,\n"
+               "  \"schema_version\": 4,\n"
                "  \"build\": \"%s\",\n  \"sanitizer\": \"%s\",\n"
                "  \"budget_bytes_per_node\": %llu,\n  \"rows\": [\n",
                build_type(), sanitizer_tag(), (unsigned long long)budget);
@@ -197,12 +220,14 @@ void write_json(const char* path, const std::vector<Row>& rows,
         "\"health\": %.3f, \"streamed\": %s, "
         "\"heap_high_water_bytes\": %llu, \"bytes_per_node\": %.0f, "
         "\"peak_rss_kb\": %llu, \"pool_idle_bytes\": %llu,\n"
-        "     \"phase_seconds\": {",
+        "     \"build_minor_faults\": %llu, \"build_bytes_per_node\": %.0f, "
+        "\"phase_seconds\": {",
         r.nodes, r.sim_seconds, (unsigned long long)r.events, r.wall_seconds,
         static_cast<double>(r.events) / r.wall_seconds, r.health,
         r.streamed ? "true" : "false", (unsigned long long)r.heap_high_water,
         r.bytes_per_node(), (unsigned long long)r.peak_rss_kb,
-        (unsigned long long)r.pool_idle_bytes);
+        (unsigned long long)r.pool_idle_bytes,
+        (unsigned long long)r.build_minor_faults, r.build_bytes_per_node());
     bool first = true;
     for (const auto& e : r.metrics.entries()) {
       if (e.kind != obs::Registry::Kind::kGauge) continue;
@@ -277,14 +302,18 @@ int main(int argc, char** argv) {
   std::vector<Row> rows;
   int failures = 0;
   for (const auto n : populations) {
-    const Row row = run(n);
+    Row row = run(n);
     std::fprintf(stderr,
                  "[scale] n=%u: %llu events in %.2fs (%.0f ev/s, "
-                 "%.0f B/node, rss %llu MB, pool idle %llu KB)\n",
+                 "%.0f B/node, rss %llu MB, pool idle %llu KB; build %.1f ms, "
+                 "%llu minor faults, %.0f B/node)\n",
                  row.nodes, (unsigned long long)row.events, row.wall_seconds,
                  static_cast<double>(row.events) / row.wall_seconds,
                  row.bytes_per_node(), (unsigned long long)(row.peak_rss_kb / 1024),
-                 (unsigned long long)(row.pool_idle_bytes / 1024));
+                 (unsigned long long)(row.pool_idle_bytes / 1024),
+                 row.metrics.gauge("phase.build") * 1e3,
+                 (unsigned long long)row.build_minor_faults,
+                 row.build_bytes_per_node());
     table.add_row({lifting::TextTable::num(row.nodes, 0),
                    lifting::TextTable::num(row.sim_seconds, 0),
                    lifting::TextTable::num(static_cast<double>(row.events), 0),

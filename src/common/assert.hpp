@@ -31,6 +31,13 @@ inline void require(bool condition, const std::string& message) {
     throw std::invalid_argument(message);
   }
 }
+/// The literal-message form: no std::string is built unless the check
+/// fails (every node validates its parameters when it is built).
+inline void require(bool condition, const char* message) {
+  if (!condition) {
+    throw std::invalid_argument(message);
+  }
+}
 
 }  // namespace lifting
 

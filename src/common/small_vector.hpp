@@ -6,6 +6,7 @@
 #include <cstring>
 #include <initializer_list>
 #include <iterator>
+#include <memory>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -175,6 +176,35 @@ struct RecycledAllocator {
 /// per-node bookkeeping that grows at runtime.
 template <typename T>
 using RecycledVector = std::vector<T, RecycledAllocator<T>>;
+
+/// unique_ptr deleter of make_recycled objects: destroys the object and
+/// hands its block back to the SpillCache.
+template <typename T>
+struct RecycledDelete {
+  void operator()(T* p) const noexcept {
+    p->~T();
+    RecycledAllocator<T>{}.deallocate(p, 1);
+  }
+};
+template <typename T>
+using RecycledPtr = std::unique_ptr<T, RecycledDelete<T>>;
+
+/// A single object on a SpillCache block — for optional per-node state that
+/// is built on demand, so a reset lane re-takes the blocks the previous
+/// run's nodes released.
+template <typename T, typename... Args>
+[[nodiscard]] RecycledPtr<T> make_recycled(Args&&... args) {
+  static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
+  RecycledAllocator<T> alloc;
+  T* p = alloc.allocate(1);
+  try {
+    ::new (static_cast<void*>(p)) T(std::forward<Args>(args)...);
+  } catch (...) {
+    alloc.deallocate(p, 1);
+    throw;
+  }
+  return RecycledPtr<T>(p);
+}
 
 template <typename T, std::size_t N>
 class SmallVector {

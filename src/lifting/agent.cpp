@@ -1,7 +1,9 @@
 #include "lifting/agent.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
+#include <optional>
 
 #include "common/assert.hpp"
 #include "membership/sampler.hpp"
@@ -22,11 +24,92 @@ constexpr std::size_t kRecentContactsCap = 64;
 constexpr double kInflatedScore = 25.0;
 }  // namespace
 
+struct Agent::AuditState {
+  explicit AuditState(Agent& agent);
+
+  Auditor auditor;
+  AuditTrail trail;
+};
+
+struct Agent::AuditChannel {
+  /// Content-derived retry/dedup key of an audit-kind message.
+  struct Key {
+    std::uint8_t kind = 0;  // Message variant index
+    std::uint32_t audit_id = 0;
+    NodeId subject;  // NodeId{0} for kinds without a subject
+    [[nodiscard]] bool operator==(const Key& o) const noexcept {
+      return kind == o.kind && audit_id == o.audit_id && subject == o.subject;
+    }
+  };
+  [[nodiscard]] static Key key_of(const gossip::Message& msg);
+
+  /// Delivery-health counters of one audit kind.
+  [[nodiscard]] AuditChannelStats& stats(std::uint8_t kind) {
+    return stats_by_kind[kind - gossip::kAuditKindFirst];
+  }
+
+  std::array<AuditChannelStats, gossip::kAuditKindCount> stats_by_kind{};
+  /// One in-flight audit send awaiting its AuditAckMsg.
+  struct Pending {
+    NodeId to;
+    Key key;
+    std::uint32_t attempts = 0;  // transmissions so far
+    std::uint64_t token = 0;     // ties backoff timers to this entry
+    gossip::Message message;     // retained for retransmission
+  };
+  std::vector<Pending> pending;
+  std::uint64_t next_retry_token = 1;
+  /// Backoff jitter draws come from their own stream (0xD00000000 + self)
+  /// so enabling the channel never perturbs the agent's main rng_ sequence
+  /// (which CrossChecker shares by reference). Engaged on the first draw.
+  std::optional<Pcg32> retry_rng;
+  /// Receiver-side duplicate suppression: ring of recently seen
+  /// (sender, key) pairs, capacity params_.audit_dedup_cap.
+  struct Seen {
+    NodeId from;
+    Key key;
+  };
+  std::vector<Seen> seen;
+  std::size_t seen_head = 0;
+};
+
+Agent::AuditState::AuditState(Agent& agent)
+    : auditor(
+          agent.sim_, agent.params_, agent.self_,
+          [a = &agent](NodeId t, double v, gossip::BlameReason r) {
+            a->emit_blame(t, v, r);
+          },
+          [a = &agent](NodeId to, gossip::Message m) {
+            a->send_reliable(to, std::move(m));
+          },
+          [a = &agent](NodeId target) {
+            // Entropy-based expulsion is direct (§5.3): commit to the
+            // subject's managers without the score-vote round.
+            const gossip::ExpelCommitMsg commit{target, true};
+            a->to_managers(target, commit,
+                           [&] { a->handle_expel_commit(commit); });
+          },
+          [a = &agent](const AuditReport& report) {
+            if (a->trace_ != nullptr) {
+              const std::uint8_t failed =
+                  static_cast<std::uint8_t>(
+                      (report.fanout_check_failed ? 1U : 0U) |
+                      (report.fanin_check_failed ? 2U : 0U) |
+                      (report.rate_check_failed ? 4U : 0U));
+              a->trace_->record(obs::EventKind::kAuditReport, a->self_,
+                                report.subject, 0, 0.0, failed,
+                                static_cast<std::uint16_t>(report.confirmed));
+            }
+            if (a->hooks_.on_audit_report) {
+              a->hooks_.on_audit_report(a->self_, report);
+            }
+          }) {}
+
 Agent::Agent(sim::Simulator& sim, gossip::Mailer& mailer,
              membership::Directory& directory, NodeId self,
              const LiftingParams& params, gossip::BehaviorSpec behavior,
              Pcg32 rng, std::uint64_t deployment_seed, TimePoint genesis,
-             Hooks hooks, std::shared_ptr<ManagerAssignment> assignment)
+             const Hooks& hooks, std::shared_ptr<ManagerAssignment> assignment)
     : sim_(sim),
       mailer_(mailer),
       directory_(directory),
@@ -36,7 +119,7 @@ Agent::Agent(sim::Simulator& sim, gossip::Mailer& mailer,
       rng_(rng),
       deployment_seed_(deployment_seed),
       genesis_(genesis),
-      hooks_(std::move(hooks)),
+      hooks_(hooks),
       assignment_(assignment != nullptr
                       ? std::move(assignment)
                       : std::make_shared<ManagerAssignment>(
@@ -55,42 +138,30 @@ Agent::Agent(sim::Simulator& sim, gossip::Mailer& mailer,
           },
           [this](std::span<const NodeId> to, const gossip::Message& m) {
             mailer_.send_many(self_, to, sim::Channel::kDatagram, m);
-          }),
-      auditor_(
-          sim, params_, self,
-          [this](NodeId t, double v, gossip::BlameReason r) {
-            emit_blame(t, v, r);
-          },
-          [this](NodeId to, gossip::Message m) {
-            send_reliable(to, std::move(m));
-          },
-          [this](NodeId target) {
-            // Entropy-based expulsion is direct (§5.3): commit to the
-            // subject's managers without the score-vote round.
-            const gossip::ExpelCommitMsg commit{target, true};
-            to_managers(target, commit, [&] { handle_expel_commit(commit); });
-          },
-          [this](const AuditReport& report) {
-            if (trace_ != nullptr) {
-              const std::uint8_t failed =
-                  static_cast<std::uint8_t>(
-                      (report.fanout_check_failed ? 1U : 0U) |
-                      (report.fanin_check_failed ? 2U : 0U) |
-                      (report.rate_check_failed ? 4U : 0U));
-              trace_->record(obs::EventKind::kAuditReport, self_,
-                             report.subject, 0, 0.0, failed,
-                             static_cast<std::uint16_t>(report.confirmed));
-            }
-            if (hooks_.on_audit_report) {
-              hooks_.on_audit_report(self_, report);
-            }
           }) {
   params_.validate();
-  if (params_.audit_probability > 0.0) audit_trail_.emplace();
+  if (params_.audit_probability > 0.0) {
+    audit_ = make_recycled<AuditState>(*this);
+  }
   base_pdcc_ = params_.p_dcc;
-  // A node manages ~M targets in expectation (Poisson(M) tail); pre-size
-  // the blame ledger so the first periods never reallocate it.
-  managers_.reserve(2 * static_cast<std::size_t>(params_.managers));
+}
+
+Agent::~Agent() = default;
+
+const AuditTrail* Agent::audit_trail() const noexcept {
+  return audit_ != nullptr ? &audit_->trail : nullptr;
+}
+
+Agent::AuditChannelStats Agent::audit_channel_totals() const noexcept {
+  AuditChannelStats total;
+  if (channel_ == nullptr) return total;
+  for (const auto& s : channel_->stats_by_kind) total += s;
+  return total;
+}
+
+Agent::AuditChannel& Agent::channel() {
+  if (channel_ == nullptr) channel_ = make_recycled<AuditChannel>();
+  return *channel_;
 }
 
 void Agent::start(Duration offset) {
@@ -100,9 +171,9 @@ void Agent::start(Duration offset) {
 }
 
 void Agent::audit(NodeId target) {
-  require(audit_trail_.has_value(),
+  require(audit_ != nullptr,
           "audit() needs an auditing deployment (audit_probability > 0)");
-  auditor_.start_audit(target);
+  audit_->auditor.start_audit(target);
 }
 
 void Agent::set_trace(obs::Recorder* trace) noexcept {
@@ -118,7 +189,7 @@ void Agent::tick() {
       now - std::min(now.time_since_epoch(),
                      params_.effective_history_retention());
   received_log_.prune(cutoff);
-  if (audit_trail_) audit_trail_->prune(cutoff);
+  if (audit_ != nullptr) audit_->trail.prune(cutoff);
 
   // Adaptive cross-checking (§1): decay the working p_dcc while our own
   // verifications stay clean; snap back to the configured value when the
@@ -172,7 +243,7 @@ void Agent::tick() {
     membership::sample_view_into(rng_, directory_, self_, 1, now, indices,
                                  pick);
     if (!pick.empty() && !behavior_.colludes_with(pick.front())) {
-      auditor_.start_audit(pick.front());
+      audit_->auditor.start_audit(pick.front());
     }
   }
 
@@ -228,8 +299,9 @@ void Agent::to_managers(NodeId target, const gossip::Message& msg,
 
 // --------------------------------------- reliable-UDP audit channel
 
-Agent::AuditKey Agent::audit_key(const gossip::Message& msg) {
-  AuditKey key;
+Agent::AuditChannel::Key Agent::AuditChannel::key_of(
+    const gossip::Message& msg) {
+  Key key;
   key.kind = static_cast<std::uint8_t>(msg.index());
   if (const auto* req = std::get_if<gossip::AuditRequestMsg>(&msg)) {
     key.audit_id = req->audit_id;
@@ -243,7 +315,7 @@ Agent::AuditKey Agent::audit_key(const gossip::Message& msg) {
     key.audit_id = resp->audit_id;
     key.subject = resp->subject;
   } else {
-    LIFTING_ASSERT(false, "audit_key on a non-audit message");
+    LIFTING_ASSERT(false, "key_of on a non-audit message");
   }
   return key;
 }
@@ -254,12 +326,12 @@ Duration Agent::retry_backoff(std::uint32_t attempt) {
   // sends were lost by the same burst.
   Duration backoff = params_.audit_retry_base * (1ULL << (attempt - 1));
   if (params_.audit_retry_jitter > 0.0) {
-    if (!retry_rng_.has_value()) {
-      retry_rng_ = derive_rng(deployment_seed_,
-                              0xD00000000ULL + self_.value());
+    auto& retry_rng = channel_->retry_rng;
+    if (!retry_rng.has_value()) {
+      retry_rng = derive_rng(deployment_seed_, 0xD00000000ULL + self_.value());
     }
     const double stretch =
-        1.0 + params_.audit_retry_jitter * retry_rng_->uniform();
+        1.0 + params_.audit_retry_jitter * retry_rng->uniform();
     backoff = Duration{static_cast<Duration::rep>(
         static_cast<double>(backoff.count()) * stretch)};
   }
@@ -267,25 +339,26 @@ Duration Agent::retry_backoff(std::uint32_t attempt) {
 }
 
 void Agent::arm_retry(std::uint64_t token) {
-  const auto it =
-      std::find_if(pending_audits_.begin(), pending_audits_.end(),
-                   [&](const PendingAudit& p) { return p.token == token; });
-  if (it == pending_audits_.end()) return;
+  auto& pending = channel_->pending;
+  const auto it = std::find_if(
+      pending.begin(), pending.end(),
+      [&](const AuditChannel::Pending& p) { return p.token == token; });
+  if (it == pending.end()) return;
   sim_.schedule_after(retry_backoff(it->attempts),
                       [this, token] { on_retry_timer(token); });
 }
 
 void Agent::on_retry_timer(std::uint64_t token) {
   if (stopped_) return;
-  const auto it =
-      std::find_if(pending_audits_.begin(), pending_audits_.end(),
-                   [&](const PendingAudit& p) { return p.token == token; });
-  if (it == pending_audits_.end()) return;  // acked meanwhile
-  auto& stats =
-      audit_channel_stats_[it->key.kind - gossip::kAuditKindFirst];
+  auto& pending = channel_->pending;
+  const auto it = std::find_if(
+      pending.begin(), pending.end(),
+      [&](const AuditChannel::Pending& p) { return p.token == token; });
+  if (it == pending.end()) return;  // acked meanwhile
+  auto& stats = channel_->stats(it->key.kind);
   if (it->attempts > params_.audit_max_retries) {
     ++stats.give_ups;
-    pending_audits_.erase(it);
+    pending.erase(it);
     return;
   }
   ++stats.retries;
@@ -301,46 +374,50 @@ void Agent::send_reliable(NodeId to, gossip::Message msg) {
   }
   // Reliable-UDP mode: the message is a real datagram; reliability is
   // bounded retransmission until the receiver's AuditAckMsg arrives.
-  const AuditKey key = audit_key(msg);
-  const std::uint64_t token = next_retry_token_++;
-  ++audit_channel_stats_[key.kind - gossip::kAuditKindFirst].sends;
-  pending_audits_.push_back(PendingAudit{to, key, 1, token, msg});
+  auto& chan = channel();
+  const auto key = AuditChannel::key_of(msg);
+  const std::uint64_t token = chan.next_retry_token++;
+  ++chan.stats(key.kind).sends;
+  chan.pending.push_back(AuditChannel::Pending{to, key, 1, token, msg});
   mailer_.send(self_, to, sim::Channel::kDatagram, std::move(msg));
   arm_retry(token);
 }
 
 void Agent::handle_audit_ack(NodeId from, const gossip::AuditAckMsg& msg) {
-  const AuditKey key{msg.acked_kind, msg.audit_id, msg.subject};
+  if (channel_ == nullptr) return;  // nothing was ever sent reliably
+  const AuditChannel::Key key{msg.acked_kind, msg.audit_id, msg.subject};
+  auto& pending = channel_->pending;
   const auto it = std::find_if(
-      pending_audits_.begin(), pending_audits_.end(),
-      [&](const PendingAudit& p) { return p.to == from && p.key == key; });
-  if (it == pending_audits_.end()) return;  // late/duplicate ack
+      pending.begin(), pending.end(), [&](const AuditChannel::Pending& p) {
+        return p.to == from && p.key == key;
+      });
+  if (it == pending.end()) return;  // late/duplicate ack
   if (key.kind >= gossip::kAuditKindFirst &&
       key.kind < gossip::kAuditKindFirst + gossip::kAuditKindCount) {
-    ++audit_channel_stats_[key.kind - gossip::kAuditKindFirst].acks_received;
+    ++channel_->stats(key.kind).acks_received;
   }
-  pending_audits_.erase(it);
+  pending.erase(it);
 }
 
 bool Agent::audit_dedup_and_ack(NodeId from, const gossip::Message& msg) {
-  const AuditKey key = audit_key(msg);
+  const auto key = AuditChannel::key_of(msg);
   // Ack every copy: the receiver cannot know whether its previous ack
   // survived, and a lost ack is exactly why the copy exists.
   send_datagram(from, gossip::AuditAckMsg{key.kind, key.audit_id,
                                           key.subject});
-  for (const auto& seen : seen_audits_) {
+  auto& chan = channel();
+  for (const auto& seen : chan.seen) {
     if (seen.from == from && seen.key == key) {
-      ++audit_channel_stats_[key.kind - gossip::kAuditKindFirst]
-            .dups_suppressed;
+      ++chan.stats(key.kind).dups_suppressed;
       return true;
     }
   }
   const std::size_t cap = params_.audit_dedup_cap;
-  if (seen_audits_.size() < cap) {
-    seen_audits_.push_back(SeenAudit{from, key});
+  if (chan.seen.size() < cap) {
+    chan.seen.push_back(AuditChannel::Seen{from, key});
   } else {
-    seen_audits_[seen_audits_head_] = SeenAudit{from, key};
-    seen_audits_head_ = (seen_audits_head_ + 1) % cap;
+    chan.seen[chan.seen_head] = AuditChannel::Seen{from, key};
+    chan.seen_head = (chan.seen_head + 1) % cap;
   }
   return false;
 }
@@ -425,8 +502,8 @@ void Agent::on_proposal_sent(PeriodIndex period,
                              const gossip::ChunkIdList& chunks) {
   // The audit-visible history must be consistent with the acks we emitted,
   // hence the *claimed* partner set (honest nodes: claimed == real).
-  if (audit_trail_) {
-    audit_trail_->sent.record(sim_.now(), period, claimed_partners, chunks);
+  if (audit_ != nullptr) {
+    audit_->trail.sent.record(sim_.now(), period, claimed_partners, chunks);
   }
 }
 
@@ -473,13 +550,16 @@ void Agent::handle(NodeId from, const gossip::Message& message) {
       handle_audit_request(from, *audit);
     } else if (const auto* history =
                    std::get_if<gossip::AuditHistoryMsg>(&message)) {
-      auditor_.on_history(from, *history);
+      // A node that does not audit started no audit: nothing to match.
+      if (audit_ != nullptr) audit_->auditor.on_history(from, *history);
     } else if (const auto* poll =
                    std::get_if<gossip::HistoryPollMsg>(&message)) {
       handle_history_poll(from, *poll);
     } else if (const auto* poll_resp =
                    std::get_if<gossip::HistoryPollRespMsg>(&message)) {
-      auditor_.on_poll_response(from, *poll_resp);
+      if (audit_ != nullptr) {
+        audit_->auditor.on_poll_response(from, *poll_resp);
+      }
     }
   } else if (const auto* ack = std::get_if<gossip::AuditAckMsg>(&message)) {
     handle_audit_ack(from, *ack);
@@ -491,7 +571,9 @@ void Agent::handle(NodeId from, const gossip::Message& message) {
 void Agent::handle_confirm_request(NodeId from,
                                    const gossip::ConfirmReqMsg& msg) {
   // Record the asker — the F'_h trail polled by auditors (§5.3).
-  if (audit_trail_) audit_trail_->askers.record(sim_.now(), msg.subject, from);
+  if (audit_ != nullptr) {
+    audit_->trail.askers.record(sim_.now(), msg.subject, from);
+  }
   bool confirmed;
   if (behavior_.collusion.has_value() && behavior_.collusion->cover_up &&
       behavior_.colludes_with(msg.subject)) {
@@ -718,7 +800,7 @@ void Agent::handle_audit_request(NodeId from,
   // Without a trail (a stray or hostile request in a deployment that does
   // not audit) the reply is an empty history.
   std::vector<gossip::HistoryProposalRecord> records;
-  if (audit_trail_) records = audit_trail_->sent.snapshot();
+  if (audit_ != nullptr) records = audit_->trail.sent.snapshot();
   if (behavior_.lie_in_history && behavior_.collusion.has_value()) {
     // Replace coalition partners with random live nodes: beats the entropy
     // check, but the substituted nodes will deny the claims during the
@@ -753,7 +835,9 @@ void Agent::handle_history_poll(NodeId from,
     }
   }
   std::vector<NodeId> askers;
-  if (audit_trail_) askers = audit_trail_->askers.askers_about(msg.subject);
+  if (audit_ != nullptr) {
+    askers = audit_->trail.askers.askers_about(msg.subject);
+  }
   send_reliable(from, gossip::HistoryPollRespMsg{msg.audit_id, msg.subject,
                                                  confirmed, denied,
                                                  std::move(askers)});

@@ -1,17 +1,16 @@
 #ifndef LIFTING_LIFTING_AGENT_HPP
 #define LIFTING_LIFTING_AGENT_HPP
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/small_vector.hpp"
 #include "common/time.hpp"
 #include "common/types.hpp"
 #include "gossip/behavior.hpp"
@@ -53,15 +52,24 @@ class Agent final : public gossip::EngineObserver {
     std::function<void(NodeId auditor, const AuditReport&)> on_audit_report;
   };
 
-  /// `assignment` shares one deployment-wide manager table among agents
-  /// (it is a pure function of (n, M, seed)); when null, the agent builds
-  /// its own — convenient for standalone agents in tests.
+  /// The hooks of a deployment that observes nothing.
+  [[nodiscard]] static const Hooks& no_hooks() {
+    static const Hooks none;
+    return none;
+  }
+
+  /// `hooks` is held by reference — one Hooks per deployment, which must
+  /// outlive its agents. `assignment` shares one deployment-wide manager
+  /// table among agents (it is a pure function of (n, M, seed)); when
+  /// null, the agent builds its own — convenient for standalone agents in
+  /// tests.
   Agent(sim::Simulator& sim, gossip::Mailer& mailer,
         membership::Directory& directory, NodeId self,
         const LiftingParams& params, gossip::BehaviorSpec behavior,
         Pcg32 rng, std::uint64_t deployment_seed, TimePoint genesis,
-        Hooks hooks = {},
+        const Hooks& hooks = no_hooks(),
         std::shared_ptr<ManagerAssignment> assignment = nullptr);
+  ~Agent() override;
 
   Agent(const Agent&) = delete;
   Agent& operator=(const Agent&) = delete;
@@ -164,12 +172,10 @@ class Agent final : public gossip::EngineObserver {
     return direct_verifier_.table_bytes() + cross_checker_.table_bytes();
   }
   /// The audit trail, or null when the deployment does not audit.
-  [[nodiscard]] const AuditTrail* audit_trail() const noexcept {
-    return audit_trail_ ? &*audit_trail_ : nullptr;
-  }
+  [[nodiscard]] const AuditTrail* audit_trail() const noexcept;
 
-  /// Delivery-health counters of the reliable-UDP audit channel, per audit
-  /// kind (index = variant index − kAuditKindFirst). All-zero in the
+  /// Delivery-health counters of the reliable-UDP audit channel, kept per
+  /// audit kind and summed by audit_channel_totals(). All-zero in the
   /// default modeled-TCP mode.
   struct AuditChannelStats {
     std::uint64_t sends = 0;            ///< first transmissions
@@ -187,15 +193,7 @@ class Agent final : public gossip::EngineObserver {
       return *this;
     }
   };
-  [[nodiscard]] const std::array<AuditChannelStats, gossip::kAuditKindCount>&
-  audit_channel_stats() const noexcept {
-    return audit_channel_stats_;
-  }
-  [[nodiscard]] AuditChannelStats audit_channel_totals() const noexcept {
-    AuditChannelStats total;
-    for (const auto& s : audit_channel_stats_) total += s;
-    return total;
-  }
+  [[nodiscard]] AuditChannelStats audit_channel_totals() const noexcept;
   /// Duplicated blame datagrams dropped by the receiver-side window
   /// (LiftingParams::blame_dedup_window; zero when the window is off).
   [[nodiscard]] std::uint64_t blame_dups_suppressed() const noexcept {
@@ -225,17 +223,18 @@ class Agent final : public gossip::EngineObserver {
   void handle_audit_request(NodeId from, const gossip::AuditRequestMsg& msg);
   void handle_history_poll(NodeId from, const gossip::HistoryPollMsg& msg);
 
+  /// What only an auditing node uses (§5.3): the auditor and the audit
+  /// trail. Defined in agent.cpp.
+  struct AuditState;
+  /// Retries, acks and duplicate suppression of the reliable-UDP audit
+  /// channel. Defined in agent.cpp.
+  struct AuditChannel;
+
   // ---- reliable-UDP audit channel (inert under kModeledTcp)
-  /// Content-derived retry/dedup key of an audit-kind message.
-  struct AuditKey {
-    std::uint8_t kind = 0;  // Message variant index
-    std::uint32_t audit_id = 0;
-    NodeId subject;  // NodeId{0} for kinds without a subject
-    [[nodiscard]] bool operator==(const AuditKey& o) const noexcept {
-      return kind == o.kind && audit_id == o.audit_id && subject == o.subject;
-    }
-  };
-  [[nodiscard]] static AuditKey audit_key(const gossip::Message& msg);
+  /// The channel state, taken on first use: the first reliable send, or the
+  /// first audit message to ack (which also reaches a node that does not
+  /// audit when a stray or hostile request arrives).
+  [[nodiscard]] AuditChannel& channel();
   [[nodiscard]] Duration retry_backoff(std::uint32_t attempt);
   void arm_retry(std::uint64_t token);
   void on_retry_timer(std::uint64_t token);
@@ -265,19 +264,20 @@ class Agent final : public gossip::EngineObserver {
   Pcg32 rng_;
   std::uint64_t deployment_seed_;
   TimePoint genesis_;
-  Hooks hooks_;
+  const Hooks& hooks_;
   obs::Recorder* trace_ = nullptr;
 
   std::shared_ptr<ManagerAssignment> assignment_;
   ManagerStore managers_;
   DirectVerifier direct_verifier_;
   CrossChecker cross_checker_;
-  Auditor auditor_;
+  /// Set only when the deployment audits (audit_probability > 0); null
+  /// until channel() first runs. Both blocks come from (and go back to)
+  /// the spill cache, so reset lanes recycle them.
+  RecycledPtr<AuditState> audit_;
+  RecycledPtr<AuditChannel> channel_;
 
   ReceivedProposalLog received_log_;
-  /// Engaged only when params_.audit_probability > 0: nothing else reads
-  /// these logs, so a non-auditing node does not record them.
-  std::optional<AuditTrail> audit_trail_;
 
   std::vector<NodeId> recent_contacts_;
 
@@ -306,33 +306,6 @@ class Agent final : public gossip::EngineObserver {
   };
   std::unordered_map<NodeId, PendingExpelVote> expel_votes_;
   std::unordered_set<NodeId> expel_requested_;
-
-  /// One in-flight reliable-UDP audit send awaiting its AuditAckMsg.
-  struct PendingAudit {
-    NodeId to;
-    AuditKey key;
-    std::uint32_t attempts = 0;  // transmissions so far
-    std::uint64_t token = 0;     // ties backoff timers to this entry
-    gossip::Message message;     // retained for retransmission
-  };
-  std::vector<PendingAudit> pending_audits_;
-  std::uint64_t next_retry_token_ = 1;
-  /// Backoff jitter draws come from their own stream (0xD00000000 + self)
-  /// so enabling the channel never perturbs the agent's main rng_ sequence
-  /// (which CrossChecker shares by reference). Engaged lazily, only in
-  /// kReliableUdp mode.
-  std::optional<Pcg32> retry_rng_;
-
-  /// Receiver-side duplicate suppression: ring of recently seen
-  /// (sender, key) pairs, capacity params_.audit_dedup_cap.
-  struct SeenAudit {
-    NodeId from;
-    AuditKey key;
-  };
-  std::vector<SeenAudit> seen_audits_;
-  std::size_t seen_audits_head_ = 0;
-
-  std::array<AuditChannelStats, gossip::kAuditKindCount> audit_channel_stats_{};
 
   /// Windowed blame dedup (LiftingParams::blame_dedup_window): recently
   /// applied network blames, so an exact transport-level duplicate cannot

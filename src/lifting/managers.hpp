@@ -8,6 +8,7 @@
 
 #include "analysis/formulas.hpp"
 #include "common/rng.hpp"
+#include "common/small_vector.hpp"
 #include "common/time.hpp"
 #include "common/types.hpp"
 #include "gossip/message.hpp"
@@ -210,16 +211,6 @@ class ManagerStore {
                            analysis::expected_blame_apcc(
                                params.model(), params.history_periods())) {}
 
-  /// Pre-sizes the flat map for the expected managed-target count. Each of
-  /// n nodes draws M managers uniformly, so a manager serves ~Binomial(n,
-  /// M/n) ≈ Poisson(M) targets; 2·M covers that far beyond any realistic
-  /// tail. Called once at agent construction so the table never reallocates
-  /// during the first periods of a run.
-  void reserve(std::size_t expected_targets) {
-    keys_.reserve(expected_targets);
-    recs_.reserve(expected_targets);
-  }
-
   /// Applies a blame. Rate-check and a-posteriori blames carry their own
   /// compensation; regular verification blames are compensated per period
   /// at read time.
@@ -341,6 +332,8 @@ class ManagerStore {
   [[nodiscard]] double per_period_compensation() const noexcept {
     return per_period_compensation_;
   }
+  /// Targets this store holds a row for.
+  [[nodiscard]] std::size_t rows() const noexcept { return keys_.size(); }
   /// Bytes the record table's capacity holds (the memory layer table).
   [[nodiscard]] std::size_t table_bytes() const noexcept {
     return keys_.capacity() * sizeof(NodeId) +
@@ -392,8 +385,12 @@ class ManagerStore {
   TimePoint genesis_;
   double per_period_compensation_;
   double apcc_compensation_;
-  std::vector<NodeId> keys_;
-  std::vector<Record> recs_;
+  /// Rows appear on a target's first blame or vote, so a store holds only
+  /// the targets it has judged (~Poisson(M) of them, not a pre-sized 2·M).
+  /// Growth takes its blocks from the spill cache, so a reset lane's stores
+  /// re-take the blocks the previous run's stores released.
+  RecycledVector<NodeId> keys_;
+  RecycledVector<Record> recs_;
 };
 
 }  // namespace lifting

@@ -122,9 +122,8 @@ void Experiment::build() {
   }
 
   // --- network + mailer
-  // Pre-size the event arena for the steady-state in-flight population
-  // (a few dozen timers/deliveries per node).
-  sim_.reserve_events(static_cast<std::size_t>(n) * 32);
+  // The event arena is not pre-sized: it grows in address-stable chunks as
+  // the in-flight population builds up over the first periods.
   ledger_.reserve(n);
   if (network_ == nullptr) {
     network_ = std::make_unique<sim::Network<gossip::Message>>(

@@ -73,14 +73,15 @@ class NodeStack {
 
   /// Builds node `id`'s stack at its current directory epoch, with agent
   /// genesis = now (a joiner's score covers only its time in the system).
-  /// `assignment` is the deployment's shared manager table (read only with
+  /// `assignment` is the deployment's shared manager table and `hooks` its
+  /// one Hooks, which the agent holds by reference (both read only with
   /// LiFTinG on); a non-null `rps` becomes the partner view, a non-null
   /// `recorder` arms tracing.
   NodeStack(sim::Simulator& sim, gossip::Mailer& mailer,
             membership::Directory& directory, const ScenarioConfig& config,
             NodeId id, const gossip::BehaviorSpec& behavior,
             const std::shared_ptr<lifting::ManagerAssignment>& assignment,
-            const lifting::Agent::Hooks& hooks = {},
+            const lifting::Agent::Hooks& hooks = lifting::Agent::no_hooks(),
             const membership::RpsNetwork* rps = nullptr,
             obs::Recorder* recorder = nullptr) {
     const auto keys = streams(id.value(), directory.epoch_of(id));

@@ -382,5 +382,58 @@ TEST(Agent, StrayAuditTrafficGetsEmptyReplies) {
   EXPECT_TRUE(poll->confirm_askers.empty());
 }
 
+TEST(Agent, NonAuditingAgentEngagesNoAuditState) {
+  // audit_probability 0: no trail, no audit channel, no audits — whatever
+  // traffic the node sees in its ordinary role.
+  AgentFixture fx(8);
+  fx.agents[1]->on_proposal_sent(1, {NodeId{2}}, {NodeId{2}}, {ChunkId{1}});
+  fx.agents[1]->on_request_sent(NodeId{2}, 1, {ChunkId{5}});  // blames 2
+  fx.network.send(NodeId{3}, NodeId{1}, sim::Channel::kDatagram, 50,
+                  gossip::Message{gossip::ConfirmReqMsg{NodeId{2}, 1,
+                                                        {ChunkId{1}}}});
+  fx.sim.run();
+  EXPECT_EQ(fx.agents[1]->audit_trail(), nullptr);
+  const auto totals = fx.agents[1]->audit_channel_totals();
+  EXPECT_EQ(totals.sends + totals.retries + totals.give_ups +
+                totals.acks_received + totals.dups_suppressed,
+            0u);
+  EXPECT_THROW(fx.agents[1]->audit(NodeId{2}), std::invalid_argument);
+}
+
+TEST(Agent, NonAuditingAgentAcksAStrayAuditOverReliableUdp) {
+  // The reliable-UDP channel is taken on demand: a node that does not audit
+  // still acks and answers a stray request, and retries its reply until
+  // the asker acks it — but records no trail.
+  LiftingParams params = AgentFixture::defaults();
+  params.audit_channel = LiftingParams::AuditChannel::kReliableUdp;
+  AgentFixture fx(4, params);
+  std::vector<gossip::Message> replies;
+  fx.network.set_handler(NodeId{0}, [&](sim::Delivery<gossip::Message> d) {
+    replies.push_back(d.payload);
+  });
+  fx.network.send(NodeId{0}, NodeId{1}, sim::Channel::kDatagram, 50,
+                  gossip::Message{gossip::AuditRequestMsg{7}});
+  fx.sim.run();
+  EXPECT_EQ(fx.agents[1]->audit_trail(), nullptr);
+  std::size_t acks = 0;
+  std::size_t histories = 0;
+  for (const auto& reply : replies) {
+    acks += std::holds_alternative<gossip::AuditAckMsg>(reply) ? 1 : 0;
+    histories += std::holds_alternative<gossip::AuditHistoryMsg>(reply) ? 1 : 0;
+  }
+  EXPECT_EQ(acks, 1u);
+  EXPECT_GE(histories, 1u);  // the first send plus its unacked retries
+  const auto totals = fx.agents[1]->audit_channel_totals();
+  EXPECT_EQ(totals.sends, 1u);
+  EXPECT_EQ(totals.retries + 1, histories);
+}
+
+TEST(Agent, StaysWithinItsSizeBound) {
+  // One Agent per node of populations up to 1M: audit-only state lives
+  // behind a pointer and the hooks are the deployment's, so the object
+  // keeps to the protocol state every node uses.
+  EXPECT_LE(sizeof(Agent), 1300u);
+}
+
 }  // namespace
 }  // namespace lifting

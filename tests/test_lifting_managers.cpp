@@ -98,6 +98,26 @@ TEST(ManagerStore, ExpulsionIsSticky) {
   EXPECT_TRUE(store.expelled(NodeId{4}));
 }
 
+TEST(ManagerStore, TableGrowsWithTheTargetsItJudges) {
+  // No pre-sizing: a store that judged no one holds no table, and rows
+  // grow with the distinct targets blamed, to at most twice the bytes of
+  // the rows held.
+  ManagerStore store(test_params(), kSimEpoch);
+  EXPECT_EQ(store.table_bytes(), 0u);
+  EXPECT_EQ(store.rows(), 0u);
+  store.apply_blame(NodeId{0}, 1.0, gossip::BlameReason::kDirectVerification);
+  const std::size_t row_bytes = store.table_bytes();
+  ASSERT_GT(row_bytes, 0u);
+  for (std::uint32_t t = 1; t < 300; ++t) {
+    store.apply_blame(NodeId{t}, 1.0, gossip::BlameReason::kDirectVerification);
+    // A repeat blame adds no row.
+    store.apply_blame(NodeId{t / 2}, 1.0,
+                      gossip::BlameReason::kDirectVerification);
+    ASSERT_EQ(store.rows(), t + 1u);
+    ASSERT_LE(store.table_bytes(), 2 * store.rows() * row_bytes) << t;
+  }
+}
+
 TEST(ManagerStore, NormalizationDilutesOldBlames) {
   const auto params = test_params();
   ManagerStore store(params, kSimEpoch);

@@ -211,6 +211,31 @@ TEST(Simulator, EventsCanScheduleEvents) {
   EXPECT_EQ(sim.now(), kSimEpoch + milliseconds(5));
 }
 
+TEST(Simulator, ActionRunningInPlaceSurvivesArenaGrowth) {
+  // An action runs from its arena entry (begin_pop) and may push events
+  // while it runs. A fresh simulator's arena holds no chunks, so the pushes
+  // below take two new 1,024-entry chunks mid-action: its own entry, and
+  // the captures stored inline in it, must stay put.
+  struct State {
+    Simulator sim;
+    int fired = 0;
+    std::uint64_t seen = 0;
+  } state;
+  constexpr int kPushes = 2500;
+  constexpr std::uint64_t kMagic = 0x5EEDCAFEF00DBEEFULL;
+  // 16 bytes of captures: inline in the UniqueFunction, so in the arena.
+  state.sim.schedule_after(milliseconds(1), [s = &state, magic = kMagic] {
+    for (int i = 0; i < kPushes; ++i) {
+      s->sim.schedule_after(microseconds(i + 1), [s] { ++s->fired; });
+    }
+    s->seen = magic;
+  });
+  state.sim.run();
+  EXPECT_EQ(state.seen, kMagic);
+  EXPECT_EQ(state.fired, kPushes);
+  EXPECT_EQ(state.sim.events_processed(), kPushes + 1u);
+}
+
 // ---------------------------------------------------------------- network
 
 struct Probe {
