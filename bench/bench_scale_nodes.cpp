@@ -109,9 +109,8 @@ struct Row {
   std::uint64_t build_heap_high_water = 0;
   std::uint64_t build_minor_faults = 0;
   std::uint64_t peak_rss_kb = 0;      // process-global, monotone
-  /// Recycled memory no structure holds at row end: RingLog pages in the
-  /// page pool plus SpillCache free-list blocks. Memory that growth
-  /// stranded shows up here.
+  /// Recycled memory no structure holds at row end: the block pool's idle
+  /// blocks. Memory that growth stranded shows up here.
   std::uint64_t pool_idle_bytes = 0;
   /// Per-row unified metrics (obs::Registry, DESIGN.md §13): the folded
   /// deployment counters plus the scoped phase timers (phase.build /
@@ -179,17 +178,17 @@ Row run(std::uint32_t n) {
   // Fold the deployment's full counter set into the row — the JSON rows
   // are self-describing without one accessor per counter family.
   ex->collect_metrics(row.metrics);
-  // Pages idle in this thread's pool: a property of the process, not of
-  // the run, so it stays out of collect_metrics (whose counters must match
-  // between a reset Experiment and a fresh one).
+  // Idle blocks of the page class (pages and other 512 B blocks) in this
+  // thread's pool: a property of the process, not of the run, so it stays
+  // out of collect_metrics (whose counters must match between a reset
+  // Experiment and a fresh one).
   row.metrics.set_counter("mem.pages.idle",
-                          detail::PagePool::idle_bytes() / kPageBytes);
+                          detail::BlockPool::idle_blocks(kPageBytes));
   // Peak live heap this row added (construction + run + health read), per
   // node — the budgeted number. RSS is sampled after, for the OS view.
   row.heap_high_water = bench::AllocSnapshot::now().high_water_since(mem_start);
   row.peak_rss_kb = bench::peak_rss_kb();
-  row.pool_idle_bytes = detail::PagePool::idle_bytes() +
-                        detail::SpillCache::idle_bytes();
+  row.pool_idle_bytes = detail::BlockPool::idle_bytes();
   return row;
 }
 

@@ -261,15 +261,14 @@ int main(int argc, char** argv) {
   // own, and every remaining container is either window-bounded or
   // pre-sized for the stream. The first pass runs the full horizon;
   // reset() then tears the per-node objects down, which returns every
-  // ring page to the thread's page pool and every other block to its
-  // spill cache, and replays the identical run. The replay's page demand
+  // ring page and every other growable block to the thread's block pool,
+  // and replays the identical run. The replay's demand in each block class
   // at any instant equals the first pass's, and the pool already holds
-  // that pass's peak page count, so no page is ever allocated; the
-  // remaining growable blocks are re-taken the same way from the spill
-  // cache. The warmed window is allocation-free by construction, not by
-  // statistical luck. This is the per-period zero-allocation invariant the
-  // paged logs, the flat engine tables and the spill-block recycler exist
-  // for.
+  // that pass's peak count of the class (far below the pool's 8 MiB
+  // per-class cap), so no block is ever allocated. The warmed window is
+  // allocation-free by construction, not by statistical luck. This is the
+  // per-period zero-allocation invariant the paged logs, the flat engine
+  // tables and the block pool exist for.
   {
     auto diet_cfg = runtime::ScenarioConfig::planetlab();
     diet_cfg.duration = seconds(12.0);
@@ -282,7 +281,7 @@ int main(int argc, char** argv) {
     steady.enable_streamed_health({2.0}, /*honest_only=*/true, playback,
                                   /*fold_interval=*/seconds(0.5));
     steady.run();   // first pass: every structure reaches its high water
-    steady.reset(); // pages and blocks go back to their pools for the replay
+    steady.reset(); // pages and blocks go back to the pool for the replay
     steady.enable_streamed_health({2.0}, /*honest_only=*/true, playback,
                                   /*fold_interval=*/seconds(0.5));
     steady.run_until(kSimEpoch + seconds(6.0));  // replayed warmup

@@ -38,7 +38,7 @@ int main() {
     sim::Simulator sim;
     Capture cap;
     Pcg32 rng{1};
-    CrossChecker cc(sim, params, NodeId{0}, rng, cap.fn(),
+    CrossChecker cc(sim, params, params.p_dcc, NodeId{0}, rng, cap.fn(),
                     [](std::span<const NodeId>, const gossip::Message&) {});
     cc.on_chunks_served(NodeId{1}, 1, {ChunkId{1}});
     gossip::AckMsg ack{2, {ChunkId{1}},
@@ -59,7 +59,7 @@ int main() {
     sim::Simulator sim;
     Capture cap;
     Pcg32 rng{2};
-    CrossChecker cc(sim, params, NodeId{0}, rng, cap.fn(),
+    CrossChecker cc(sim, params, params.p_dcc, NodeId{0}, rng, cap.fn(),
                     [](std::span<const NodeId>, const gossip::Message&) {});
     cc.on_chunks_served(NodeId{1}, 1, {ChunkId{1}});
     gossip::AckMsg ack{2, {ChunkId{1}},
@@ -104,7 +104,7 @@ int main() {
     sim::Simulator sim;
     Capture cap;
     Pcg32 rng{3};
-    CrossChecker cc(sim, params, NodeId{0}, rng, cap.fn(),
+    CrossChecker cc(sim, params, params.p_dcc, NodeId{0}, rng, cap.fn(),
                     [](std::span<const NodeId>, const gossip::Message&) {});
     cc.on_chunks_served(NodeId{1}, 1, {ChunkId{1}});
     sim.run();

@@ -3,14 +3,12 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <cstring>
 #include <iterator>
 #include <memory>
-#include <new>
 #include <span>
 
 #include "common/assert.hpp"
-#include "common/small_vector.hpp"
+#include "common/block_pool.hpp"
 
 /// A paged FIFO log: push at the back, prune from the front, O(1) both.
 ///
@@ -21,13 +19,14 @@
 /// sliding window, so its memory should track the window, not how the
 /// window grew.
 ///
-/// A ring is a table of fixed-size pages (kPageBytes) taken from one
-/// thread-local pool. Appending at the tail takes a page when the last one
-/// is full; popping the head past a page's end returns that page to the
-/// pool, and so does popping the tail (pop_back) out of a page. Nothing is
-/// ever copied into a larger block, so growth strands no memory: a page
-/// another ring released serves the next grower, whatever its element
-/// type. Entries never move while they are live.
+/// A ring is a table of fixed-size pages (kPageBytes), each one block of
+/// the thread's BlockPool (src/common/block_pool.hpp). Appending at the
+/// tail takes a page when the last one is full; popping the head past a
+/// page's end returns that page to the pool, and so does popping the tail
+/// (pop_back) out of a page. Nothing is ever copied into a larger block,
+/// so growth strands no memory: a page another ring released serves the
+/// next grower, whatever its element type, and so does any other 512 B
+/// block the pool holds. Entries never move while they are live.
 ///
 /// Elements are constructed when their page is taken and destroyed when
 /// it is released (for trivially copyable elements both are no-ops). A
@@ -37,7 +36,7 @@
 /// SmallVector window), refill with `.assign()` / `.clear()` +
 /// `push_back`, never `operator=`: SmallVector's assignment releases the
 /// spilled buffer the slot already owns. A released page's spill blocks
-/// go back to the SpillCache with the elements' destructors.
+/// go back to the pool with the elements' destructors.
 ///
 /// Readers of runs walk for_each_span() / scan_back(), which hand out the
 /// live range one page-contiguous piece at a time.
@@ -49,68 +48,8 @@ namespace lifting {
 /// log's head and tail pages empty.
 inline constexpr std::size_t kPageBytes = 512;
 
-namespace detail {
-
-/// Thread-local free list of kPageBytes pages, shared by every RingLog on
-/// the thread. Pages are kept for reuse, not handed back to the allocator
-/// (any page serves any ring), and freed at thread exit. Each page is its
-/// own operator new block, so a page may be released on a different
-/// thread than it was taken on: a runner lane that destroys an Experiment
-/// built elsewhere just adopts its pages.
-class PagePool {
- public:
-  [[nodiscard]] static void* take() {
-    State& s = state();
-    if (s.free == nullptr) return ::operator new(kPageBytes);
-    void* page = s.free;
-    std::memcpy(&s.free, page, sizeof(void*));  // alias-safe link read
-    --s.idle;
-    return page;
-  }
-
-  static void put(void* page) noexcept {
-    State& s = state();
-    if (s.closed) {  // a ring outliving this thread's pool
-      ::operator delete(page);
-      return;
-    }
-    std::memcpy(page, &s.free, sizeof(void*));
-    s.free = page;
-    ++s.idle;
-  }
-
-  /// Bytes held in this thread's pool, waiting for a ring to take them.
-  [[nodiscard]] static std::size_t idle_bytes() noexcept {
-    return state().idle * kPageBytes;
-  }
-
- private:
-  /// Trivially destructible, so it stays usable after the Drain below ran.
-  struct State {
-    void* free = nullptr;
-    std::size_t idle = 0;
-    bool closed = false;
-  };
-  struct Drain {
-    State* s;
-    ~Drain() {
-      while (s->free != nullptr) {
-        void* page = s->free;
-        std::memcpy(&s->free, page, sizeof(void*));
-        ::operator delete(page);
-      }
-      s->idle = 0;
-      s->closed = true;
-    }
-  };
-  [[nodiscard]] static State& state() noexcept {
-    thread_local State s;
-    thread_local Drain drain{&s};
-    return s;
-  }
-};
-
-}  // namespace detail
+static_assert(detail::BlockPool::block_bytes(kPageBytes) == kPageBytes,
+              "a page is one block-pool class");
 
 template <typename T>
 class RingLog {
@@ -187,7 +126,7 @@ class RingLog {
     const std::size_t used = (head_ + size_ + kPerPage - 1) / kPerPage;
     for (std::size_t i = used; i < pages_.size(); ++i) {
       std::destroy_n(pages_[i], kPerPage);
-      detail::PagePool::put(pages_[i]);
+      detail::BlockPool::deallocate(pages_[i], kPageBytes);
     }
     pages_.resize(std::min(used, pages_.size()));
   }
@@ -238,7 +177,7 @@ class RingLog {
   }
 
   void take_page() {
-    T* page = static_cast<T*>(detail::PagePool::take());
+    T* page = static_cast<T*>(detail::BlockPool::allocate(kPageBytes));
     std::uninitialized_default_construct_n(page, kPerPage);
     pages_.push_back(page);
   }
@@ -247,7 +186,7 @@ class RingLog {
     if (n == 0) return;
     for (std::size_t i = 0; i < n; ++i) {
       std::destroy_n(pages_[i], kPerPage);
-      detail::PagePool::put(pages_[i]);
+      detail::BlockPool::deallocate(pages_[i], kPageBytes);
     }
     pages_.erase(pages_.begin(),
                  pages_.begin() + static_cast<std::ptrdiff_t>(n));

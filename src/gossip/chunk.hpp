@@ -34,7 +34,7 @@ struct ChunkMeta {
 /// window entry, so it is sized to the small lists, not the largest ones.
 /// On the planetlab preset 8 ids inline hold about two thirds of the
 /// requests and acks and 83% of the confirm requests; a typical proposal
-/// (|P| ≈ 28 ids) spills to a 128 B SpillCache block, which keeps the
+/// (|P| ≈ 28 ids) spills to a 128 B block-pool block, which keeps the
 /// gossip hot path allocation-free in steady state. 8 was measured
 /// against 4, 16 and 32 (DESIGN.md §9).
 using ChunkIdList = SmallVector<ChunkId, 8>;

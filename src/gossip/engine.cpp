@@ -445,9 +445,9 @@ void Engine::send_acks(PeriodIndex period,
   // reproduces what a stable sort by target alone would, without
   // stable_sort's temporary buffer). The rows live in one buffer per
   // thread, shared by every engine on it: it grows to the largest phase
-  // the thread has seen, then the ack path is allocation-free. A plain
-  // std::vector, so its destruction at thread exit does not depend on the
-  // SpillCache's.
+  // the thread has seen, then the ack path is allocation-free. It is held
+  // for the thread's whole life, so a plain std::vector: the block pool
+  // would never see its blocks come back before thread exit.
   thread_local std::vector<AckRow> rows;
   rows.clear();
   const TimePoint ack_now = sim_.now();

@@ -259,7 +259,7 @@ class Engine {
   /// period instead of being copied per partner — and only the retention
   /// window is kept, so request validation scans a handful of records
   /// indexed by period. The window's RingLog pages construct and destroy
-  /// these elements; list spill blocks cycle through the SpillCache, so
+  /// these elements; list spill blocks cycle through the block pool, so
   /// the steady-state record path never allocates. An entry is 128 B, four
   /// to a page.
   struct SentProposal {

@@ -75,7 +75,7 @@ struct Agent::AuditChannel {
 
 Agent::AuditState::AuditState(Agent& agent)
     : auditor(
-          agent.sim_, agent.params_, agent.self_,
+          agent.sim_, agent.params_, agent.p_dcc_, agent.self_,
           [a = &agent](NodeId t, double v, gossip::BlameReason r) {
             a->emit_blame(t, v, r);
           },
@@ -115,6 +115,7 @@ Agent::Agent(sim::Simulator& sim, gossip::Mailer& mailer,
       directory_(directory),
       self_(self),
       params_(params),
+      p_dcc_(params.p_dcc),
       behavior_(std::move(behavior)),
       rng_(rng),
       deployment_seed_(deployment_seed),
@@ -125,25 +126,23 @@ Agent::Agent(sim::Simulator& sim, gossip::Mailer& mailer,
                       : std::make_shared<ManagerAssignment>(
                             directory.initial_size(), params.managers,
                             deployment_seed)),
-      managers_(params_, genesis),
+      managers_(params, genesis),
       direct_verifier_(
-          sim, params_,
+          sim, params,
           [this](NodeId t, double v, gossip::BlameReason r) {
             emit_blame(t, v, r);
           }),
       cross_checker_(
-          sim, params_, self, rng_,
+          sim, params, p_dcc_, self, rng_,
           [this](NodeId t, double v, gossip::BlameReason r) {
             emit_blame(t, v, r);
           },
           [this](std::span<const NodeId> to, const gossip::Message& m) {
             mailer_.send_many(self_, to, sim::Channel::kDatagram, m);
           }) {
-  params_.validate();
   if (params_.audit_probability > 0.0) {
     audit_ = make_recycled<AuditState>(*this);
   }
-  base_pdcc_ = params_.p_dcc;
 }
 
 Agent::~Agent() = default;
@@ -194,7 +193,7 @@ void Agent::tick() {
   // Adaptive cross-checking (§1): decay the working p_dcc while our own
   // verifications stay clean; snap back to the configured value when the
   // emitted-blame EWMA exceeds the loss-noise floor. The CrossChecker
-  // reads params_.p_dcc by reference, so changes take effect immediately.
+  // reads p_dcc_ by reference, so changes take effect immediately.
   if (params_.adaptive_pdcc) {
     constexpr double kEwmaAlpha = 0.2;
     blame_rate_ewma_ = (1.0 - kEwmaAlpha) * blame_rate_ewma_ +
@@ -202,15 +201,16 @@ void Agent::tick() {
     blame_emitted_this_period_ = 0.0;
     // A node verifies ~f peers that each receive b̃ from ~f verifiers, so
     // its own loss-noise emission floor is ≈ compensation_factor·b̃.
-    const double noise_floor =
-        params_.compensation_factor *
-        analysis::expected_wrongful_blame(params_.model());
+    analysis::ProtocolModel model = params_.model();
+    model.p_dcc = p_dcc_;
+    const double noise_floor = params_.compensation_factor *
+                               analysis::expected_wrongful_blame(model);
     if (blame_rate_ewma_ <=
         params_.adaptive_noise_multiple * std::max(noise_floor, 0.5)) {
-      params_.p_dcc = std::max(params_.adaptive_min_pdcc,
-                               params_.p_dcc * params_.adaptive_decay);
+      p_dcc_ = std::max(params_.adaptive_min_pdcc,
+                        p_dcc_ * params_.adaptive_decay);
     } else {
-      params_.p_dcc = base_pdcc_;
+      p_dcc_ = params_.p_dcc;
     }
   }
 

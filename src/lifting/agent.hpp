@@ -58,8 +58,9 @@ class Agent final : public gossip::EngineObserver {
     return none;
   }
 
-  /// `hooks` is held by reference — one Hooks per deployment, which must
-  /// outlive its agents. `assignment` shares one deployment-wide manager
+  /// `params` and `hooks` are held by reference — one of each per
+  /// deployment, which must outlive its agents; the owner validates
+  /// `params`. `assignment` shares one deployment-wide manager
   /// table among agents (it is a pure function of (n, M, seed)); when
   /// null, the agent builds its own — convenient for standalone agents in
   /// tests.
@@ -146,6 +147,7 @@ class Agent final : public gossip::EngineObserver {
     return managers_;
   }
   [[nodiscard]] ManagerStore& manager_store() noexcept { return managers_; }
+  /// The deployment's parameters; the working p_dcc is current_pdcc().
   [[nodiscard]] const LiftingParams& params() const noexcept {
     return params_;
   }
@@ -162,7 +164,7 @@ class Agent final : public gossip::EngineObserver {
   }
   /// The working cross-check probability (== configured p_dcc unless
   /// adaptive_pdcc has decayed it during clean periods).
-  [[nodiscard]] double current_pdcc() const noexcept { return params_.p_dcc; }
+  [[nodiscard]] double current_pdcc() const noexcept { return p_dcc_; }
   [[nodiscard]] const ReceivedProposalLog& received_log() const noexcept {
     return received_log_;
   }
@@ -259,7 +261,11 @@ class Agent final : public gossip::EngineObserver {
   gossip::Mailer& mailer_;
   membership::Directory& directory_;
   NodeId self_;
-  LiftingParams params_;
+  const LiftingParams& params_;
+  /// The working cross-check probability: params_.p_dcc unless adaptive
+  /// decay moved it. The CrossChecker and the Auditor read it by
+  /// reference.
+  double p_dcc_;
   gossip::BehaviorSpec behavior_;
   Pcg32 rng_;
   std::uint64_t deployment_seed_;
@@ -273,7 +279,7 @@ class Agent final : public gossip::EngineObserver {
   CrossChecker cross_checker_;
   /// Set only when the deployment audits (audit_probability > 0); null
   /// until channel() first runs. Both blocks come from (and go back to)
-  /// the spill cache, so reset lanes recycle them.
+  /// the block pool, so reset lanes recycle them.
   RecycledPtr<AuditState> audit_;
   RecycledPtr<AuditChannel> channel_;
 
@@ -323,7 +329,6 @@ class Agent final : public gossip::EngineObserver {
 
   double blame_emitted_total_ = 0.0;
   std::uint64_t audit_requests_received_ = 0;
-  double base_pdcc_ = 1.0;
   double blame_emitted_this_period_ = 0.0;
   double blame_rate_ewma_ = 0.0;
   bool started_ = false;

@@ -140,7 +140,7 @@ void Auditor::finish(Audit& audit) {
   // Fan-in entropy check over F'_h (man-in-the-middle detector, §5.3).
   // Only meaningful when cross-checking actually generates confirm
   // traffic and enough samples were collected.
-  if (params_.p_dcc > 0.0 &&
+  if (p_dcc_ > 0.0 &&
       audit.askers.size() >= params_.min_fanin_samples) {
     report.fanin_entropy = stats::multiset_entropy<NodeId>(
         {audit.askers.data(), audit.askers.size()});

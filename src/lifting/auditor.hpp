@@ -49,10 +49,14 @@ class Auditor {
   using ExpelFn = std::function<void(NodeId target)>;
   using ReportFn = std::function<void(const AuditReport&)>;
 
-  Auditor(sim::Simulator& sim, const LiftingParams& params, NodeId self,
-          BlameFn blame, SendFn send, ExpelFn expel, ReportFn report)
+  /// `p_dcc` is the owner's working cross-check probability (adaptive
+  /// decay moves it away from params.p_dcc).
+  Auditor(sim::Simulator& sim, const LiftingParams& params,
+          const double& p_dcc, NodeId self, BlameFn blame, SendFn send,
+          ExpelFn expel, ReportFn report)
       : sim_(sim),
         params_(params),
+        p_dcc_(p_dcc),
         self_(self),
         blame_(std::move(blame)),
         send_(std::move(send)),
@@ -92,6 +96,7 @@ class Auditor {
 
   sim::Simulator& sim_;
   const LiftingParams& params_;
+  const double& p_dcc_;
   NodeId self_;
   BlameFn blame_;
   SendFn send_;

@@ -334,10 +334,10 @@ class ManagerStore {
   }
   /// Targets this store holds a row for.
   [[nodiscard]] std::size_t rows() const noexcept { return keys_.size(); }
-  /// Bytes the record table's capacity holds (the memory layer table).
+  /// Bytes of the pool blocks the record table holds (the memory layer
+  /// table).
   [[nodiscard]] std::size_t table_bytes() const noexcept {
-    return keys_.capacity() * sizeof(NodeId) +
-           recs_.capacity() * sizeof(Record);
+    return held_bytes(keys_) + held_bytes(recs_);
   }
 
  private:
@@ -387,7 +387,7 @@ class ManagerStore {
   double apcc_compensation_;
   /// Rows appear on a target's first blame or vote, so a store holds only
   /// the targets it has judged (~Poisson(M) of them, not a pre-sized 2·M).
-  /// Growth takes its blocks from the spill cache, so a reset lane's stores
+  /// Growth takes its blocks from the block pool, so a reset lane's stores
   /// re-take the blocks the previous run's stores released.
   RecycledVector<NodeId> keys_;
   RecycledVector<Record> recs_;

@@ -186,7 +186,7 @@ void CrossChecker::on_ack_received(NodeId from, const gossip::AckMsg& ack) {
   if (covered_chunks.empty()) return;
 
   // §5: the check is triggered with probability p_dcc per serve-ack.
-  if (!rng_.bernoulli(params_.p_dcc)) return;
+  if (!rng_.bernoulli(p_dcc_)) return;
   start_confirm_round(ack, from, covered_chunks);
 }
 

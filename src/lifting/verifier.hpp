@@ -45,10 +45,9 @@ using SendManyFn = std::function<void(std::span<const NodeId> to,
 /// capacity is sized to the typical |R|, not to a whole proposal: these
 /// sets are the elements of the trackers' sorted flat vectors, so an unused
 /// inline buffer is paid once per element. A set that outgrows it spills
-/// through the SmallVector spill cache, so tracking a verification
-/// allocates nothing in steady state either way (the per-request std::set
-/// these replace paid one node allocation per chunk, the top allocator of
-/// whole runs).
+/// to a block-pool block, so tracking a verification allocates nothing in
+/// steady state either way (the per-request std::set these replace paid
+/// one node allocation per chunk, the top allocator of whole runs).
 using ChunkIdSet = SmallVector<ChunkId, 4>;
 
 class DirectVerifier {
@@ -74,9 +73,10 @@ class DirectVerifier {
   [[nodiscard]] std::uint64_t verifications_completed() const noexcept {
     return completed_;
   }
-  /// Bytes the pending table's capacity holds (the memory layer table).
+  /// Bytes of the pool blocks the pending table holds (the memory layer
+  /// table).
   [[nodiscard]] std::size_t table_bytes() const noexcept {
-    return pending_.capacity() * sizeof(Pending);
+    return held_bytes(pending_);
   }
 
  private:
@@ -115,10 +115,14 @@ class DirectVerifier {
 
 class CrossChecker {
  public:
-  CrossChecker(sim::Simulator& sim, const LiftingParams& params, NodeId self,
-               Pcg32& rng, BlameFn blame, SendManyFn send)
+  /// `p_dcc` is the owner's working cross-check probability, read on every
+  /// ack: adaptive decay moves it away from params.p_dcc.
+  CrossChecker(sim::Simulator& sim, const LiftingParams& params,
+               const double& p_dcc, NodeId self, Pcg32& rng, BlameFn blame,
+               SendManyFn send)
       : sim_(sim),
         params_(params),
+        p_dcc_(p_dcc),
         self_(self),
         rng_(rng),
         blame_(std::move(blame)),
@@ -145,12 +149,11 @@ class CrossChecker {
   [[nodiscard]] std::size_t fanout_checked_size() const noexcept {
     return fanout_checked_.size();
   }
-  /// Bytes the three tracker tables' capacity holds (the memory layer
-  /// table).
+  /// Bytes of the pool blocks the three tracker tables hold (the memory
+  /// layer table).
   [[nodiscard]] std::size_t table_bytes() const noexcept {
-    return batches_.capacity() * sizeof(Batch) +
-           rounds_.capacity() * sizeof(ConfirmRound) +
-           fanout_checked_.capacity() * sizeof(fanout_checked_[0]);
+    return held_bytes(batches_) + held_bytes(rounds_) +
+           held_bytes(fanout_checked_);
   }
 
  private:
@@ -202,6 +205,7 @@ class CrossChecker {
 
   sim::Simulator& sim_;
   const LiftingParams& params_;
+  const double& p_dcc_;
   NodeId self_;
   Pcg32& rng_;
   BlameFn blame_;

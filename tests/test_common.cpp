@@ -1,10 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+#include <thread>
 #include <unordered_set>
+#include <vector>
 
+#include "../bench/alloc_tally.hpp"
+#include "common/block_pool.hpp"
 #include "common/ring_log.hpp"
 #include "common/rng.hpp"
+#include "common/small_vector.hpp"
 #include "common/stamp.hpp"
 #include "common/table.hpp"
 #include "common/time.hpp"
@@ -13,6 +19,82 @@
 
 namespace lifting {
 namespace {
+
+// ---------------------------------------------------------- block pool
+
+using detail::BlockPool;
+
+TEST(BlockPool, RoundsUpToAClassAndPassesLargeSizesThrough) {
+  EXPECT_EQ(BlockPool::block_bytes(1), 64u);
+  EXPECT_EQ(BlockPool::block_bytes(65), 128u);
+  EXPECT_EQ(BlockPool::block_bytes(512), 512u);
+  EXPECT_EQ(BlockPool::block_bytes(64 * 1024), 64u * 1024);
+  EXPECT_EQ(BlockPool::block_bytes(64 * 1024 + 1), 64u * 1024 + 1);
+  // A class block comes back to its list and is the next one taken.
+  void* p = BlockPool::allocate(300);
+  const std::size_t idle = BlockPool::idle_blocks(512);
+  BlockPool::deallocate(p, 300);
+  EXPECT_EQ(BlockPool::idle_blocks(512), idle + 1);
+  EXPECT_EQ(BlockPool::allocate(512), p);
+  BlockPool::deallocate(p, 512);
+  // Past the largest class a block goes back to the allocator.
+  const std::size_t idle_bytes = BlockPool::idle_bytes();
+  BlockPool::deallocate(BlockPool::allocate(64 * 1024 + 1), 64 * 1024 + 1);
+  EXPECT_EQ(BlockPool::idle_bytes(), idle_bytes);
+  EXPECT_EQ(BlockPool::idle_blocks(64 * 1024 + 1), 0u);
+  // A spilled SmallVector claims its whole block: 17 ids need 68 B, so
+  // they sit in a 128 B block of 32 ids.
+  const SmallVector<std::uint32_t, 2> ids(17, 5);
+  EXPECT_EQ(ids.capacity(), 32u);
+}
+
+TEST(BlockPool, CapsEachClassAtEightMiBIdle) {
+  static_assert(BlockPool::kMaxClassBytes / 512 == 16384);
+  std::thread([] {  // a fresh thread starts with empty lists
+    std::vector<void*> blocks(16385);
+    for (void*& b : blocks) b = BlockPool::allocate(512);
+    for (std::size_t i = 0; i + 1 < blocks.size(); ++i) {
+      BlockPool::deallocate(blocks[i], 512);
+    }
+    EXPECT_EQ(BlockPool::idle_blocks(512), 16384u);
+    const std::uint64_t live = bench::AllocSnapshot::now().live;
+    BlockPool::deallocate(blocks.back(), 512);  // the 16,385th
+    EXPECT_EQ(BlockPool::idle_blocks(512), 16384u);
+    EXPECT_LT(bench::AllocSnapshot::now().live, live);
+  }).join();
+}
+
+TEST(BlockPool, ABlockFreedOnAnotherThreadJoinsThatThreadsLists) {
+  void* block = BlockPool::allocate(200);
+  const std::size_t here = BlockPool::idle_blocks(256);
+  std::size_t there = 0;
+  void* retaken = nullptr;
+  std::thread([&] {
+    BlockPool::deallocate(block, 200);
+    there = BlockPool::idle_blocks(256);
+    retaken = BlockPool::allocate(256);
+    BlockPool::deallocate(retaken, 256);
+  }).join();
+  EXPECT_EQ(there, 1u);
+  EXPECT_EQ(retaken, block);
+  EXPECT_EQ(BlockPool::idle_blocks(256), here);
+}
+
+TEST(BlockPool, AThreadLocalDestroyedAfterThePoolFreesItsBlock) {
+  // A thread_local built before its thread first uses the pool is
+  // destroyed after the pool's thread-exit drain: its spilled block must
+  // go straight to the allocator, and nothing may stay behind.
+  const std::uint64_t live = bench::AllocSnapshot::now().live;
+  std::thread([] {
+    thread_local SmallVector<std::uint64_t, 2> late;
+    {
+      const SmallVector<std::uint64_t, 2> first(40, 1);  // first pool use
+    }
+    late.resize(40, 7);  // re-takes the block `first` released
+    EXPECT_EQ(late.capacity(), 64u);
+  }).join();
+  EXPECT_EQ(bench::AllocSnapshot::now().live, live);
+}
 
 // ---------------------------------------------------------- strong ids
 

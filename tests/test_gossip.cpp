@@ -602,9 +602,9 @@ TEST(Engine, PeriodStateHoldsConstantPagesWithoutAllocating) {
   // offer), and each partner requests the whole
   // 32-id proposal (spilled lists). After a warm-up, the per-period
   // tables hold a constant page count and a period makes no allocator
-  // call: pages cycle through the page pool, spilled lists through the
-  // SpillCache, ack rows reuse their thread's buffer. The warm-up is 10
-  // periods, not one: the sent-proposal window grows for its first 5, and
+  // call: pages and spilled lists cycle through the block pool, ack rows
+  // reuse their thread's buffer. The warm-up is 10 periods, not one: the
+  // sent-proposal window grows for its first 5, and
   // the network's recycled delivery slots, which keep a stale payload's
   // spill block until they are reused, settle by the 9th.
   GossipParams params;
@@ -783,11 +783,11 @@ TEST(DeliveryLog, CompactBeforeReleasesWholePages) {
     if (i % 7 != 3) log.record(ChunkId{i}, at(i));  // with gaps
   }
   const std::size_t delivered = log.size();
-  const std::size_t idle = detail::PagePool::idle_bytes();
+  const std::size_t idle = detail::BlockPool::idle_blocks(kPageBytes);
   // A fold line inside page 4: pages 0..3 are released, page 4 stays.
   const std::uint32_t fold = 4 * kPer + kPer / 2;
   log.compact_before(ChunkId{fold});
-  EXPECT_EQ(detail::PagePool::idle_bytes(), idle + 4 * kPageBytes);
+  EXPECT_EQ(detail::BlockPool::idle_blocks(kPageBytes), idle + 4);
   EXPECT_EQ(log.window_base(), ChunkId{fold});
   EXPECT_EQ(log.size(), delivered);
   std::size_t folded = 0;
@@ -813,7 +813,7 @@ TEST(DeliveryLog, CompactBeforeReleasesWholePages) {
   // Folding past the retained window empties it; later deliveries land
   // past the new base.
   log.compact_before(ChunkId{12 * kPer});
-  EXPECT_EQ(detail::PagePool::idle_bytes(), idle + 10 * kPageBytes);
+  EXPECT_EQ(detail::BlockPool::idle_blocks(kPageBytes), idle + 10);
   log.record(ChunkId{12 * kPer + 3}, at(5));
   ASSERT_TRUE(log.find(ChunkId{12 * kPer + 3}));
   EXPECT_EQ(*log.find(ChunkId{12 * kPer + 3}), at(5));
@@ -863,10 +863,10 @@ TEST(DeliveryLog, ExactTimesAcrossAGapPastTheStampReach) {
 
   // Folding past the gap still hands back whole pages, and the times left
   // on both sides of the fold line stay exact.
-  const std::size_t idle = detail::PagePool::idle_bytes();
+  const std::size_t idle = detail::BlockPool::idle_blocks(kPageBytes);
   const std::uint32_t fold = 5 * kPer + 7;
   log.compact_before(ChunkId{fold});
-  EXPECT_EQ(detail::PagePool::idle_bytes(), idle + 5 * kPageBytes);
+  EXPECT_EQ(detail::BlockPool::idle_blocks(kPageBytes), idle + 5);
   EXPECT_EQ(log.pages(), 3u);
   expect_exact(fold);
 }

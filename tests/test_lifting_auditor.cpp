@@ -21,7 +21,7 @@ struct AuditorFixture {
     params.rate_tolerance = 0.5;
     params.p_dcc = 1.0;
     auditor.emplace(
-        sim, params, NodeId{0},
+        sim, params, params.p_dcc, NodeId{0},
         [this](NodeId t, double v, gossip::BlameReason r) {
           blames.push_back({t, v, r});
         },
@@ -219,7 +219,7 @@ TEST(Auditor, FewFaninSamplesSkipsTheCheck) {
   AuditorFixture fx;
   fx.params.min_fanin_samples = 1000;  // unreachable
   fx.auditor.emplace(
-      fx.sim, fx.params, NodeId{0},
+      fx.sim, fx.params, fx.params.p_dcc, NodeId{0},
       [&](NodeId, double, gossip::BlameReason) {},
       [&](NodeId to, gossip::Message m) { fx.sent.emplace_back(to, std::move(m)); },
       [&](NodeId t) { fx.expelled.push_back(t); },

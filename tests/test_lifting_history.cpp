@@ -500,18 +500,18 @@ TEST(RingLog, FifoOrderAcrossPagesAndFullPageRecycle) {
     ASSERT_EQ(ring[i], static_cast<int>(i));
   }
   const int* first_page = &ring.front();
-  const std::size_t idle = detail::PagePool::idle_bytes();
+  const std::size_t idle = detail::BlockPool::idle_blocks(kPageBytes);
   ring.pop_front(kPer - 1);
   EXPECT_EQ(ring.pages(), 4u);  // the head page still holds one entry
   ring.pop_front();
   EXPECT_EQ(ring.pages(), 3u);  // emptied: back to the pool
-  EXPECT_EQ(detail::PagePool::idle_bytes(), idle + kPageBytes);
+  EXPECT_EQ(detail::BlockPool::idle_blocks(kPageBytes), idle + 1);
   EXPECT_EQ(ring.front(), static_cast<int>(kPer));
   // The tail page fills, and the next one is the page just released.
   while (ring.size() < 3 * kPer) ring.push_slot() = next++;
   ring.push_slot() = next++;
   EXPECT_EQ(&ring.back(), first_page);
-  EXPECT_EQ(detail::PagePool::idle_bytes(), idle);
+  EXPECT_EQ(detail::BlockPool::idle_blocks(kPageBytes), idle);
   ASSERT_EQ(ring.size(), 3 * kPer + 1);
   for (std::size_t i = 0; i < ring.size(); ++i) {
     ASSERT_EQ(ring[i], static_cast<int>(kPer + i));
@@ -577,11 +577,12 @@ TEST(ChunkRunCodec, DecodesAVarintSplitAcrossPages) {
 
 TEST(RingLog, CyclingRingsHoldConstantPagesWithoutAllocating) {
   // Two rings of different element types fill and drain once per
-  // generation. The pool hands pages back newest first, so each
-  // generation's ints take the pages the lists released last time: any
-  // page serves either ring. The list ring keeps spilled payloads, which
-  // go back to the SpillCache when their page is released and come out of
-  // it when a page is constructed again.
+  // generation. The pool hands blocks back newest first, so each
+  // generation's ints take blocks the lists released last time: any
+  // page serves either ring. The list ring keeps spilled 400 B payloads,
+  // which share the pages' 512 B class: they go back to the pool when
+  // their page is released and come out of it when a page is constructed
+  // again.
   RingLog<int> ints;
   RingLog<gossip::ChunkIdList> lists;
   std::vector<ChunkId> big;
@@ -605,12 +606,12 @@ TEST(RingLog, CyclingRingsHoldConstantPagesWithoutAllocating) {
     lists.pop_front(kLists);
   };
   generation();  // grows the pool, the page tables and the caches
-  const std::size_t idle = detail::PagePool::idle_bytes();
+  const std::size_t idle = detail::BlockPool::idle_blocks(kPageBytes);
   const auto start = bench::AllocSnapshot::now();
   for (int g = 0; g < 20; ++g) generation();
   const auto cost = bench::AllocSnapshot::now().delta_since(start);
   EXPECT_EQ(cost.calls, 0u);
-  EXPECT_EQ(detail::PagePool::idle_bytes(), idle);
+  EXPECT_EQ(detail::BlockPool::idle_blocks(kPageBytes), idle);
   EXPECT_EQ(held, std::vector<std::size_t>(21, held.front()));
   EXPECT_EQ(held.front(), 21u);
 }
@@ -620,10 +621,10 @@ TEST(RingLog, PopBackReleasesEmptiedTailPages) {
   RingLog<std::uint64_t> ring;
   for (std::uint64_t i = 0; i < 3 * kPer + 5; ++i) ring.push_slot() = i;
   ASSERT_EQ(ring.pages(), 4u);
-  const std::size_t idle = detail::PagePool::idle_bytes();
+  const std::size_t idle = detail::BlockPool::idle_blocks(kPageBytes);
   ring.pop_back(5);  // empties the tail page
   EXPECT_EQ(ring.pages(), 3u);
-  EXPECT_EQ(detail::PagePool::idle_bytes(), idle + kPageBytes);
+  EXPECT_EQ(detail::BlockPool::idle_blocks(kPageBytes), idle + 1);
   EXPECT_EQ(ring.back(), 3 * kPer - 1);
   ring.pop_back(1);  // the tail page keeps live entries
   EXPECT_EQ(ring.pages(), 3u);

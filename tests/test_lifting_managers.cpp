@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "analysis/formulas.hpp"
@@ -100,21 +101,29 @@ TEST(ManagerStore, ExpulsionIsSticky) {
 
 TEST(ManagerStore, TableGrowsWithTheTargetsItJudges) {
   // No pre-sizing: a store that judged no one holds no table, and rows
-  // grow with the distinct targets blamed, to at most twice the bytes of
-  // the rows held.
+  // grow with the distinct targets blamed. A row is a 4 B key and a 24 B
+  // record. table_bytes() reports the pool blocks that hold them:
+  // capacity doubling and power-of-two blocks keep it under four times the
+  // rows' bytes, once past the 64 B smallest block.
+  constexpr std::size_t kRowBytes = 4 + 24;
   ManagerStore store(test_params(), kSimEpoch);
   EXPECT_EQ(store.table_bytes(), 0u);
   EXPECT_EQ(store.rows(), 0u);
   store.apply_blame(NodeId{0}, 1.0, gossip::BlameReason::kDirectVerification);
-  const std::size_t row_bytes = store.table_bytes();
-  ASSERT_GT(row_bytes, 0u);
+  EXPECT_EQ(store.table_bytes(), 64u + 64u);  // one smallest block each
   for (std::uint32_t t = 1; t < 300; ++t) {
     store.apply_blame(NodeId{t}, 1.0, gossip::BlameReason::kDirectVerification);
     // A repeat blame adds no row.
     store.apply_blame(NodeId{t / 2}, 1.0,
                       gossip::BlameReason::kDirectVerification);
     ASSERT_EQ(store.rows(), t + 1u);
-    ASSERT_LE(store.table_bytes(), 2 * store.rows() * row_bytes) << t;
+    ASSERT_LE(store.table_bytes(),
+              std::max<std::size_t>(128, 4 * store.rows() * kRowBytes))
+        << t;
+    if (store.rows() == 32) {
+      // 768 B of records sit in a 1,024 B block, beside 128 B of keys.
+      EXPECT_EQ(store.table_bytes(), 128u + 1024u);
+    }
   }
 }
 

@@ -165,8 +165,8 @@ gossip::AckMsg make_ack(PeriodIndex period, gossip::ChunkIdList chunks,
 
 TEST(CrossChecker, BlamesFWhenNoAckArrives) {
   VerifierFixture fx;
-  CrossChecker cc(fx.sim, fx.params, NodeId{0}, fx.rng, fx.blame_fn(),
-                  fx.send_fn());
+  CrossChecker cc(fx.sim, fx.params, fx.params.p_dcc, NodeId{0}, fx.rng,
+                  fx.blame_fn(), fx.send_fn());
   cc.on_chunks_served(NodeId{5}, 2, {ChunkId{1}, ChunkId{2}});
   fx.sim.run();
   ASSERT_EQ(fx.blames.size(), 1u);
@@ -177,8 +177,8 @@ TEST(CrossChecker, BlamesFWhenNoAckArrives) {
 
 TEST(CrossChecker, BlamesFWhenAckMissesChunks) {
   VerifierFixture fx;
-  CrossChecker cc(fx.sim, fx.params, NodeId{0}, fx.rng, fx.blame_fn(),
-                  fx.send_fn());
+  CrossChecker cc(fx.sim, fx.params, fx.params.p_dcc, NodeId{0}, fx.rng,
+                  fx.blame_fn(), fx.send_fn());
   cc.on_chunks_served(NodeId{5}, 2, {ChunkId{1}, ChunkId{2}});
   cc.on_ack_received(NodeId{5}, make_ack(3, {ChunkId{1}}, 7));
   fx.sim.run();
@@ -191,8 +191,8 @@ TEST(CrossChecker, BlamesFWhenAckMissesChunks) {
 
 TEST(CrossChecker, ValidAckTriggersConfirmRound) {
   VerifierFixture fx;
-  CrossChecker cc(fx.sim, fx.params, NodeId{0}, fx.rng, fx.blame_fn(),
-                  fx.send_fn());
+  CrossChecker cc(fx.sim, fx.params, fx.params.p_dcc, NodeId{0}, fx.rng,
+                  fx.blame_fn(), fx.send_fn());
   cc.on_chunks_served(NodeId{5}, 2, {ChunkId{1}});
   cc.on_ack_received(NodeId{5}, make_ack(3, {ChunkId{1}}, 7));
   EXPECT_EQ(cc.confirm_rounds_started(), 1u);
@@ -207,8 +207,8 @@ TEST(CrossChecker, ValidAckTriggersConfirmRound) {
 
 TEST(CrossChecker, AllYesTestimoniesMeanNoBlame) {
   VerifierFixture fx;
-  CrossChecker cc(fx.sim, fx.params, NodeId{0}, fx.rng, fx.blame_fn(),
-                  fx.send_fn());
+  CrossChecker cc(fx.sim, fx.params, fx.params.p_dcc, NodeId{0}, fx.rng,
+                  fx.blame_fn(), fx.send_fn());
   cc.on_chunks_served(NodeId{5}, 2, {ChunkId{1}});
   cc.on_ack_received(NodeId{5}, make_ack(3, {ChunkId{1}}, 7));
   for (std::uint32_t w = 20; w < 27; ++w) {
@@ -221,8 +221,8 @@ TEST(CrossChecker, AllYesTestimoniesMeanNoBlame) {
 
 TEST(CrossChecker, BlamesOnePerContradictionOrSilence) {
   VerifierFixture fx;
-  CrossChecker cc(fx.sim, fx.params, NodeId{0}, fx.rng, fx.blame_fn(),
-                  fx.send_fn());
+  CrossChecker cc(fx.sim, fx.params, fx.params.p_dcc, NodeId{0}, fx.rng,
+                  fx.blame_fn(), fx.send_fn());
   cc.on_chunks_served(NodeId{5}, 2, {ChunkId{1}});
   cc.on_ack_received(NodeId{5}, make_ack(3, {ChunkId{1}}, 7));
   // 3 yes, 2 no, 2 silent => 4 failures.
@@ -244,8 +244,8 @@ TEST(CrossChecker, BlamesOnePerContradictionOrSilence) {
 
 TEST(CrossChecker, FanoutShortfallBlamedFromAck) {
   VerifierFixture fx;
-  CrossChecker cc(fx.sim, fx.params, NodeId{0}, fx.rng, fx.blame_fn(),
-                  fx.send_fn());
+  CrossChecker cc(fx.sim, fx.params, fx.params.p_dcc, NodeId{0}, fx.rng,
+                  fx.blame_fn(), fx.send_fn());
   cc.on_chunks_served(NodeId{5}, 2, {ChunkId{1}});
   cc.on_ack_received(NodeId{5}, make_ack(3, {ChunkId{1}}, 4));  // f̂=4 < f=7
   fx.sim.run();
@@ -259,8 +259,8 @@ TEST(CrossChecker, FanoutShortfallBlamedFromAck) {
 TEST(CrossChecker, PdccZeroNeverSendsConfirms) {
   VerifierFixture fx;
   fx.params.p_dcc = 0.0;
-  CrossChecker cc(fx.sim, fx.params, NodeId{0}, fx.rng, fx.blame_fn(),
-                  fx.send_fn());
+  CrossChecker cc(fx.sim, fx.params, fx.params.p_dcc, NodeId{0}, fx.rng,
+                  fx.blame_fn(), fx.send_fn());
   cc.on_chunks_served(NodeId{5}, 2, {ChunkId{1}});
   cc.on_ack_received(NodeId{5}, make_ack(3, {ChunkId{1}}, 7));
   fx.sim.run();
@@ -271,8 +271,8 @@ TEST(CrossChecker, PdccZeroNeverSendsConfirms) {
 
 TEST(CrossChecker, UnsolicitedAckIgnored) {
   VerifierFixture fx;
-  CrossChecker cc(fx.sim, fx.params, NodeId{0}, fx.rng, fx.blame_fn(),
-                  fx.send_fn());
+  CrossChecker cc(fx.sim, fx.params, fx.params.p_dcc, NodeId{0}, fx.rng,
+                  fx.blame_fn(), fx.send_fn());
   cc.on_ack_received(NodeId{5}, make_ack(3, {ChunkId{1}}, 2));
   fx.sim.run();
   EXPECT_TRUE(fx.blames.empty());
@@ -281,8 +281,8 @@ TEST(CrossChecker, UnsolicitedAckIgnored) {
 
 TEST(CrossChecker, OneRoundPerReceiverPhaseEvenWithTwoBatches) {
   VerifierFixture fx;
-  CrossChecker cc(fx.sim, fx.params, NodeId{0}, fx.rng, fx.blame_fn(),
-                  fx.send_fn());
+  CrossChecker cc(fx.sim, fx.params, fx.params.p_dcc, NodeId{0}, fx.rng,
+                  fx.blame_fn(), fx.send_fn());
   cc.on_chunks_served(NodeId{5}, 2, {ChunkId{1}});
   cc.on_chunks_served(NodeId{5}, 3, {ChunkId{2}});
   const auto ack = make_ack(4, {ChunkId{1}, ChunkId{2}}, 7);
@@ -303,8 +303,8 @@ TEST(CrossChecker, LongBatchCoveredByShuffledAck) {
   // lists the 28 chunks shuffled: it covers the batch, so no ack-missing
   // blame reaches the receiver, and one confirm round starts.
   VerifierFixture fx;
-  CrossChecker cc(fx.sim, fx.params, NodeId{0}, fx.rng, fx.blame_fn(),
-                  fx.send_fn());
+  CrossChecker cc(fx.sim, fx.params, fx.params.p_dcc, NodeId{0}, fx.rng,
+                  fx.blame_fn(), fx.send_fn());
   gossip::ChunkIdList chunks;
   for (std::uint32_t i = 0; i < 28; ++i) chunks.push_back(ChunkId{50 + i});
   cc.on_chunks_served(NodeId{5}, 2, chunks);
@@ -334,8 +334,8 @@ TEST(CrossChecker, FanoutCheckedTableStaysWithinTwiceItsWindow) {
   // from 8 periods back, inside the window, blames nothing new.
   VerifierFixture fx;
   fx.params.p_dcc = 0.0;
-  CrossChecker cc(fx.sim, fx.params, NodeId{0}, fx.rng, fx.blame_fn(),
-                  fx.send_fn());
+  CrossChecker cc(fx.sim, fx.params, fx.params.p_dcc, NodeId{0}, fx.rng,
+                  fx.blame_fn(), fx.send_fn());
   constexpr std::uint32_t kReceivers = 8;
   constexpr PeriodIndex kPeriods = 200;
   std::size_t high = 0;
