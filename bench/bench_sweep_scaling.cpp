@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "alloc_tally.hpp"
+#include "common/block_pool.hpp"
 #include "common/build_info.hpp"
 #include "common/table.hpp"
 #include "runtime/runner.hpp"
@@ -183,6 +184,10 @@ int main(int argc, char** argv) {
                    "high-water B", "vs fresh"});
   for (const auto& regime : regimes) {
     auto fresh_digest = RunDigest{};
+    // Each fresh tally starts from an empty pool: the blocks this thread
+    // kept from earlier work depend on how the sweep's cases fell to
+    // lanes, and would move the fresh rows from run to run.
+    detail::BlockPool::release_idle();
     bench::reset_live_high_water();
     const auto fresh_start = AllocSnapshot::now();
     for (std::uint32_t r = 0; r < reps; ++r) {

@@ -89,6 +89,11 @@ class BlockPool {
     return cls < kClasses ? state().idle[cls] : 0;
   }
 
+  /// Frees every idle block this thread holds. The pool stays open, so
+  /// blocks released later are kept again. A tally that must not depend on
+  /// what earlier work on this thread left idle starts here.
+  static void release_idle() noexcept { release_idle(state()); }
+
   /// Bytes idle in this thread's lists, waiting for a taker.
   [[nodiscard]] static std::size_t idle_bytes() noexcept {
     const State& s = state();
@@ -117,17 +122,20 @@ class BlockPool {
     std::size_t idle[kClasses] = {};
     bool closed = false;
   };
+  static void release_idle(State& s) noexcept {
+    for (std::size_t cls = 0; cls < kClasses; ++cls) {
+      while (s.free[cls] != nullptr) {
+        void* p = s.free[cls];
+        std::memcpy(&s.free[cls], p, sizeof(void*));
+        ::operator delete(p);
+      }
+      s.idle[cls] = 0;
+    }
+  }
   struct Drain {
     State* s;
     ~Drain() {
-      for (std::size_t cls = 0; cls < kClasses; ++cls) {
-        while (s->free[cls] != nullptr) {
-          void* p = s->free[cls];
-          std::memcpy(&s->free[cls], p, sizeof(void*));
-          ::operator delete(p);
-        }
-        s->idle[cls] = 0;
-      }
+      release_idle(*s);
       s->closed = true;
     }
   };

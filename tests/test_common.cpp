@@ -80,6 +80,24 @@ TEST(BlockPool, ABlockFreedOnAnotherThreadJoinsThatThreadsLists) {
   EXPECT_EQ(BlockPool::idle_blocks(256), here);
 }
 
+TEST(BlockPool, ReleaseIdleFreesEveryIdleBlockAndThePoolStaysOpen) {
+  std::thread([] {
+    BlockPool::deallocate(BlockPool::allocate(512), 512);
+    BlockPool::deallocate(BlockPool::allocate(100), 100);
+    ASSERT_EQ(BlockPool::idle_bytes(), 512u + 128u);
+    const std::uint64_t live = bench::AllocSnapshot::now().live;
+    BlockPool::release_idle();
+    EXPECT_EQ(BlockPool::idle_bytes(), 0u);
+    EXPECT_LE(bench::AllocSnapshot::now().live + 512 + 128, live);
+
+    void* block = BlockPool::allocate(512);  // a fresh block
+    BlockPool::deallocate(block, 512);
+    EXPECT_EQ(BlockPool::idle_blocks(512), 1u);  // kept again
+    EXPECT_EQ(BlockPool::allocate(512), block);
+    BlockPool::deallocate(block, 512);
+  }).join();
+}
+
 TEST(BlockPool, AThreadLocalDestroyedAfterThePoolFreesItsBlock) {
   // A thread_local built before its thread first uses the pool is
   // destroyed after the pool's thread-exit drain: its spilled block must

@@ -1,16 +1,17 @@
 // lifting_loopback — loopback wire deployment launcher + bandwidth report.
 //
 // Orchestrates a full deployment of lifting_node daemons from an ordinary
-// ScenarioConfig: spawns one process per node, pipes each the serialized
-// scenario, collects the bound ports, distributes the roster, lets the
-// stream run over real UDP datagrams, then aggregates per-message-kind
-// byte counts and prints a wire-vs-model bandwidth report.
+// ScenarioConfig: starts one process per node, all at once, pipes each the
+// serialized scenario, collects the bound ports as they arrive, distributes
+// the roster, lets the stream run over real UDP datagrams while it drains
+// every daemon's report pipe live, then aggregates per-message-kind byte
+// counts and prints a wire-vs-model bandwidth report.
 //
 // The report is the deployment-side validation of the paper's Table 5: the
 // analytical gossip::wire_size model (which the whole simulator evaluation
 // prices bandwidth with) is compared against the actual datagram sizes
 // measured on the wire, per message kind. The two are tied by an exact
-// accounting identity (see kind_delta below); the verification/stream
+// accounting identity (see exact_delta below); the verification/stream
 // overhead ratio and its <8% bound are then checked on *measured* bytes.
 //
 // Exit status: 0 = deployment healthy and report checks passed, 1 = a
@@ -18,6 +19,9 @@
 //
 //   ./lifting_loopback --nodes 16 --seconds 3 --node-bin ./lifting_node
 
+#include <algorithm>
+#include <cerrno>
+#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -25,6 +29,8 @@
 #include <string>
 #include <vector>
 
+#include <fcntl.h>
+#include <poll.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -47,6 +53,8 @@ struct Options {
   double freeriders = -1.0;  // <0 = the preset's own
   double health_min = 0.85;
   unsigned timeout_s = 0;  // 0 = derived from the duration
+  /// Echo every daemon STAT line as it arrives, and print the launch
+  /// timing line on stderr.
   bool verbose = false;
   /// Run the §5.3 audit kinds over the reliable-UDP channel (retry/backoff
   /// + receiver dedup) instead of the modeled-TCP default. Makes the audit
@@ -66,8 +74,12 @@ struct Options {
 
 struct Child {
   pid_t pid = -1;
-  FILE* in = nullptr;   // launcher -> daemon stdin
-  FILE* out = nullptr;  // daemon stdout -> launcher
+  FILE* in = nullptr;  // launcher -> daemon stdin, closed after GO
+  int out = -1;        // daemon stdout -> launcher, -1 once closed
+  std::string pending;  // bytes read from `out` short of a full line
+  int attempts = 0;     // daemons started for this node
+  double spawned_at = 0.0;  // now_s() at the current daemon's fork
+  double port_s = 0.0;      // its spawn -> PORT time
   std::uint16_t port = 0;
   // Parsed report:
   std::uint64_t chunks_received = 0;
@@ -86,7 +98,7 @@ struct Child {
   std::uint64_t audit_give_ups = 0;
   std::uint64_t audit_acks = 0;
   std::uint64_t audit_dups = 0;
-  bool done = false;
+  bool done = false;  // printed DONE
 };
 
 // Timeout handler state: fixed-size plain arrays, mutated only between
@@ -94,7 +106,7 @@ struct Child {
 // std::vector would race its own reallocation against the signal.
 constexpr std::uint32_t kMaxNodes = 4096;
 pid_t g_pids[kMaxNodes] = {};
-volatile sig_atomic_t g_done[kMaxNodes] = {};
+volatile sig_atomic_t g_done[kMaxNodes] = {};  // the node's pipe closed
 volatile sig_atomic_t g_node_count = 0;
 
 // write()-based helpers (the only formatted output that is legal inside a
@@ -115,9 +127,9 @@ void sig_write_u32(std::uint32_t v) {
 }
 
 void on_timeout(int) {
-  // Name the stall before killing anything: the first node that never
-  // reported DONE is where the deployment wedged (bind loop, drain hang,
-  // dead daemon) — "exit 124" alone made these undebuggable in CI.
+  // Name the stall before killing anything: a node whose pipe is still open
+  // is where the deployment wedged (a daemon hung before its PORT line or
+  // in its drain) — "exit 124" alone made these undebuggable in CI.
   sig_write("TIMEOUT: stalled before DONE:");
   int listed = 0;
   for (std::uint32_t i = 0; i < static_cast<std::uint32_t>(g_node_count);
@@ -182,20 +194,27 @@ bool exact_delta(std::size_t kind, long long& delta_per_msg,
   return true;
 }
 
+double now_s() {
+  return std::chrono::duration<double>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+/// Forks node `self`'s daemon with its stdin and stdout on fresh pipes. The
+/// launcher's ends are close-on-exec, so no daemon holds another's pipes.
 bool spawn(const std::string& node_bin, std::uint32_t self, Child& child) {
   int to_child[2];
   int from_child[2];
-  if (::pipe(to_child) != 0) return false;
-  if (::pipe(from_child) != 0) return false;
+  if (::pipe2(to_child, O_CLOEXEC) != 0) return false;
+  if (::pipe2(from_child, O_CLOEXEC) != 0) {
+    ::close(to_child[0]);
+    ::close(to_child[1]);
+    return false;
+  }
   const pid_t pid = ::fork();
-  if (pid < 0) return false;
   if (pid == 0) {
     ::dup2(to_child[0], STDIN_FILENO);
     ::dup2(from_child[1], STDOUT_FILENO);
-    ::close(to_child[0]);
-    ::close(to_child[1]);
-    ::close(from_child[0]);
-    ::close(from_child[1]);
     const std::string self_arg = std::to_string(self);
     ::execl(node_bin.c_str(), "lifting_node", "--self", self_arg.c_str(),
             static_cast<char*>(nullptr));
@@ -203,111 +222,258 @@ bool spawn(const std::string& node_bin, std::uint32_t self, Child& child) {
   }
   ::close(to_child[0]);
   ::close(from_child[1]);
+  if (pid < 0) {
+    ::close(to_child[1]);
+    ::close(from_child[0]);
+    return false;
+  }
   child.pid = pid;
   child.in = ::fdopen(to_child[1], "w");
-  child.out = ::fdopen(from_child[0], "r");
+  child.out = from_child[0];
+  child.spawned_at = now_s();
   g_pids[self] = pid;
-  return child.in != nullptr && child.out != nullptr;
+  return child.in != nullptr;
 }
 
-/// Tears a half-launched child down so its slot can be respawned.
+/// Kills and reaps node `self`'s daemon, if it has one, and clears its
+/// process state; the attempt count stays.
 void reap(std::uint32_t self, Child& child) {
   if (child.in != nullptr) std::fclose(child.in);
-  if (child.out != nullptr) std::fclose(child.out);
+  if (child.out >= 0) ::close(child.out);
   if (child.pid > 0) {
     ::kill(child.pid, SIGKILL);
     int status = 0;
     ::waitpid(child.pid, &status, 0);
   }
   g_pids[self] = 0;
+  const int attempts = child.attempts;
   child = Child{};
+  child.attempts = attempts;
 }
 
-bool read_line(Child& child, std::string& line);
-
-/// Spawns node `self`, feeds it the scenario, and waits for its PORT line.
-/// Transient failures here (a port-range clash inside the daemon's bind
-/// loop, a fork hiccup under CI load) were the top loopback-smoke flake, so
-/// the launcher retries ONE fresh process before giving up.
-bool launch_node(const Options& opt, const std::string& scenario,
-                 std::uint32_t self, Child& child) {
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    if (attempt > 0) {
+/// Starts a fresh daemon for node `self` and writes it the scenario; the
+/// poll loop reads its PORT line. A node gets two attempts: transient
+/// failures here (a daemon that dies or errs before PORT, a fork hiccup
+/// under CI load) were the top loopback-smoke flake, so a failed handshake
+/// starts ONE fresh process before giving up. False once both are spent.
+bool launch(const Options& opt, const std::string& scenario,
+            std::uint32_t self, Child& child) {
+  while (child.attempts < 2) {
+    if (child.attempts++ > 0) {
       std::fprintf(stderr, "node %u: launch failed, retrying once\n", self);
-      reap(self, child);
     }
+    reap(self, child);
     if (!spawn(opt.node_bin, self, child)) continue;
+    // A daemon that already died fails this write; its stdout then reads
+    // EOF, which the poll loop takes as the failed handshake.
     std::fputs(scenario.c_str(), child.in);
     std::fputs("END_SCENARIO\n", child.in);
-    if (std::fflush(child.in) != 0) continue;
-    std::string line;
-    unsigned port = 0;
-    if (!read_line(child, line) ||
-        std::sscanf(line.c_str(), "PORT %u", &port) != 1 || port == 0) {
-      std::fprintf(stderr, "node %u failed to bind: %s\n", self,
-                   line.c_str());
-      continue;
-    }
-    child.port = static_cast<std::uint16_t>(port);
+    std::fflush(child.in);
     return true;
   }
   reap(self, child);
   return false;
 }
 
-bool read_line(Child& child, std::string& line) {
-  char buf[512];
-  if (std::fgets(buf, sizeof buf, child.out) == nullptr) return false;
-  line.assign(buf);
-  while (!line.empty() && (line.back() == '\n' || line.back() == '\r')) {
-    line.pop_back();
+/// Folds one line of a running daemon's report (STAT/KIND/DONE) into it.
+/// Anything else (an ERROR line, say) is echoed; a daemon that errs exits
+/// without DONE.
+void read_report_line(Child& child, const std::string& line, bool verbose) {
+  if (line == "DONE") {
+    child.done = true;
+    return;
   }
-  return true;
+  char key[64];
+  unsigned long long a = 0, b = 0, c = 0;
+  if (std::sscanf(line.c_str(), "STAT %63s %llu", key, &a) == 2) {
+    if (std::strcmp(key, "chunks_received") == 0) child.chunks_received = a;
+    if (std::strcmp(key, "chunks_emitted") == 0) child.chunks_emitted = a;
+    if (std::strcmp(key, "decode_failures") == 0) child.decode_failures = a;
+    if (std::strcmp(key, "socket_errors") == 0) child.socket_errors = a;
+    if (std::strcmp(key, "send_failures") == 0) child.send_failures = a;
+    if (std::strcmp(key, "faults_dropped") == 0) child.faults_dropped = a;
+    if (std::strcmp(key, "faults_duplicated") == 0) {
+      child.faults_duplicated = a;
+    }
+    if (std::strcmp(key, "faults_delayed") == 0) child.faults_delayed = a;
+    if (std::strcmp(key, "audit_sends") == 0) child.audit_sends = a;
+    if (std::strcmp(key, "audit_retries") == 0) child.audit_retries = a;
+    if (std::strcmp(key, "audit_give_ups") == 0) child.audit_give_ups = a;
+    if (std::strcmp(key, "audit_acks") == 0) child.audit_acks = a;
+    if (std::strcmp(key, "audit_dups_suppressed") == 0) child.audit_dups = a;
+    if (verbose) std::printf("  node %d: %s\n", child.pid, line.c_str());
+    return;
+  }
+  if (std::sscanf(line.c_str(), "KIND %63s %llu %llu %llu", key, &a, &b,
+                  &c) == 4) {
+    const int k = kind_index(key);
+    if (k >= 0) {
+      child.kind_count[k] += a;
+      child.kind_modeled[k] += b;
+      child.kind_wire[k] += c;
+    }
+    return;
+  }
+  std::fprintf(stderr, "daemon said: %s\n", line.c_str());
 }
 
-/// Reads STAT/KIND lines until DONE (or ERROR / stream end).
-bool read_report(Child& child, bool verbose) {
-  std::string line;
-  while (read_line(child, line)) {
-    if (line == "DONE") {
-      child.done = true;
-      return true;
-    }
-    char key[64];
-    unsigned long long a = 0, b = 0, c = 0;
-    if (std::sscanf(line.c_str(), "STAT %63s %llu", key, &a) == 2) {
-      if (verbose) std::printf("  node %d: %s\n", child.pid, line.c_str());
-      if (std::strcmp(key, "chunks_received") == 0) child.chunks_received = a;
-      if (std::strcmp(key, "chunks_emitted") == 0) child.chunks_emitted = a;
-      if (std::strcmp(key, "decode_failures") == 0) child.decode_failures = a;
-      if (std::strcmp(key, "socket_errors") == 0) child.socket_errors = a;
-      if (std::strcmp(key, "send_failures") == 0) child.send_failures = a;
-      if (std::strcmp(key, "faults_dropped") == 0) child.faults_dropped = a;
-      if (std::strcmp(key, "faults_duplicated") == 0) {
-        child.faults_duplicated = a;
-      }
-      if (std::strcmp(key, "faults_delayed") == 0) child.faults_delayed = a;
-      if (std::strcmp(key, "audit_sends") == 0) child.audit_sends = a;
-      if (std::strcmp(key, "audit_retries") == 0) child.audit_retries = a;
-      if (std::strcmp(key, "audit_give_ups") == 0) child.audit_give_ups = a;
-      if (std::strcmp(key, "audit_acks") == 0) child.audit_acks = a;
-      if (std::strcmp(key, "audit_dups_suppressed") == 0) child.audit_dups = a;
-      continue;
-    }
-    if (std::sscanf(line.c_str(), "KIND %63s %llu %llu %llu", key, &a, &b,
-                    &c) == 4) {
-      const int k = kind_index(key);
-      if (k >= 0) {
-        child.kind_count[k] += a;
-        child.kind_modeled[k] += b;
-        child.kind_wire[k] += c;
-      }
-      continue;
-    }
-    std::fprintf(stderr, "daemon said: %s\n", line.c_str());
-    if (line.rfind("ERROR", 0) == 0) return false;
+/// Sends every daemon the roster (after its TRACE line under --trace-dir)
+/// and GO; nothing is written to a daemon after that.
+void start_stream(const Options& opt, std::vector<Child>& children) {
+  std::string roster = "ROSTER";
+  for (const auto& child : children) {
+    roster += ' ';
+    roster += std::to_string(child.port);
   }
-  return false;
+  roster += "\nGO\n";
+  for (std::uint32_t i = 0; i < children.size(); ++i) {
+    auto& child = children[i];
+    if (!opt.trace_dir.empty()) {
+      // Arm the daemon's flight recorder before GO; it dumps the ring to
+      // this path right before DONE.
+      std::fprintf(child.in, "TRACE %s/node%u.trace %llu\n",
+                   opt.trace_dir.c_str(), i,
+                   static_cast<unsigned long long>(opt.trace_capacity));
+    }
+    std::fputs(roster.c_str(), child.in);
+    std::fclose(child.in);
+    child.in = nullptr;
+  }
+}
+
+/// The --verbose launch timing line: the handshake's wall time next to the
+/// spawn -> PORT time of each node's successful attempt (fork, exec,
+/// scenario parse, NodeHost build and bind).
+void print_launch_timing(const std::vector<Child>& children, double wall_s) {
+  std::vector<double> waits;
+  std::uint32_t retried = 0;
+  for (const auto& child : children) {
+    waits.push_back(child.port_s);
+    if (child.attempts > 1) ++retried;
+  }
+  std::sort(waits.begin(), waits.end());
+  const std::size_t n = waits.size();
+  const double median = (waits[(n - 1) / 2] + waits[n / 2]) / 2.0;
+  std::fprintf(stderr,
+               "lifting_loopback: handshake %.4f s wall for %zu nodes "
+               "(%u retried); spawn->PORT min %.4f, median %.4f, max %.4f s\n",
+               wall_s, n, retried, waits.front(), median, waits.back());
+}
+
+/// Runs the deployment's daemons in one poll() loop over their stdout
+/// pipes. Every daemon is started at once and its PORT line taken in
+/// whatever order it arrives; once all are in, the roster goes out and the
+/// same loop drains every pipe live until each daemon has printed DONE or
+/// closed its pipe, then reaps them all. False if any node failed. A node
+/// that fails both handshakes ends the launch: every daemon spawned so far
+/// is killed and reaped first.
+bool run_daemons(const Options& opt, const std::string& scenario,
+                 double stream_s, std::vector<Child>& children) {
+  const auto nodes = static_cast<std::uint32_t>(children.size());
+  const auto kill_all = [&] {
+    for (std::uint32_t i = 0; i < nodes; ++i) reap(i, children[i]);
+    return false;
+  };
+  const auto give_up = [&](std::uint32_t self) {
+    std::fprintf(stderr, "failed to launch node %u (%s)\n", self,
+                 opt.node_bin.c_str());
+    return kill_all();
+  };
+  const double t0 = now_s();
+  for (std::uint32_t i = 0; i < nodes; ++i) {
+    if (!launch(opt, scenario, i, children[i])) return give_up(i);
+  }
+
+  bool ok = true;
+  bool streaming = false;
+  std::uint32_t handshaking = nodes;
+  std::vector<pollfd> fds;
+  std::vector<std::uint32_t> owner;
+  for (;;) {
+    fds.clear();
+    owner.clear();
+    for (std::uint32_t i = 0; i < nodes; ++i) {
+      if (children[i].out < 0) continue;
+      fds.push_back({children[i].out, POLLIN, 0});
+      owner.push_back(i);
+    }
+    if (fds.empty()) break;
+    if (::poll(fds.data(), fds.size(), -1) < 0) {
+      if (errno == EINTR) continue;
+      std::perror("lifting_loopback: poll");
+      return kill_all();
+    }
+    for (std::size_t k = 0; k < fds.size(); ++k) {
+      if (fds[k].revents == 0) continue;
+      const std::uint32_t self = owner[k];
+      Child& child = children[self];
+      char buf[4096];
+      const ssize_t n = ::read(child.out, buf, sizeof buf);
+      if (n < 0 && errno == EINTR) continue;
+      if (n > 0) child.pending.append(buf, static_cast<std::size_t>(n));
+      bool relaunched = false;
+      std::size_t from = 0;
+      for (std::size_t nl; !relaunched &&
+                           (nl = child.pending.find('\n', from)) !=
+                               std::string::npos;
+           from = nl + 1) {
+        std::string line = child.pending.substr(from, nl - from);
+        if (!line.empty() && line.back() == '\r') line.pop_back();
+        if (child.port != 0) {
+          read_report_line(child, line, opt.verbose);
+          continue;
+        }
+        unsigned port = 0;
+        if (std::sscanf(line.c_str(), "PORT %u", &port) == 1 && port != 0 &&
+            port <= 0xffff) {
+          child.port = static_cast<std::uint16_t>(port);
+          child.port_s = now_s() - child.spawned_at;
+          --handshaking;
+          continue;
+        }
+        std::fprintf(stderr, "node %u: bad handshake: %s\n", self,
+                     line.c_str());
+        if (!launch(opt, scenario, self, child)) return give_up(self);
+        relaunched = true;
+      }
+      if (relaunched) continue;
+      child.pending.erase(0, from);
+      if (n > 0) continue;
+      if (child.port == 0) {
+        std::fprintf(stderr, "node %u: pipe closed before PORT\n", self);
+        if (!launch(opt, scenario, self, child)) return give_up(self);
+        continue;
+      }
+      if (!child.done) {
+        std::fprintf(stderr, "node %u died without a report\n", self);
+        ok = false;
+      }
+      ::close(child.out);
+      child.out = -1;
+      g_done[self] = 1;  // the timeout handler skips nodes that finished
+    }
+    std::fflush(stdout);  // the verbose STAT lines this wake read
+    if (handshaking == 0 && !streaming) {
+      streaming = true;
+      start_stream(opt, children);
+      std::printf("lifting_loopback: %u nodes launched, streaming %.1f s...\n",
+                  nodes, stream_s);
+      std::fflush(stdout);
+      if (opt.verbose) print_launch_timing(children, now_s() - t0);
+    }
+  }
+
+  for (std::uint32_t i = 0; i < nodes; ++i) {
+    int status = 0;
+    ::waitpid(children[i].pid, &status, 0);
+    g_pids[i] = 0;
+    if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
+      std::fprintf(stderr, "node %u exited abnormally (status %d)\n", i,
+                   status);
+      ok = false;
+    }
+  }
+  return ok;
 }
 
 Options parse_options(int argc, char** argv) {
@@ -430,59 +596,16 @@ int main(int argc, char** argv) {
   std::signal(SIGALRM, on_timeout);
   ::alarm(timeout_s);
 
-  // ---- spawn + handshake (per node: spawn, scenario, PORT; one retry)
+  // ---- launch, stream and collect every daemon's report
   std::vector<Child> children(config.nodes);
-  for (std::uint32_t i = 0; i < config.nodes; ++i) {
-    if (!launch_node(opt, scenario, i, children[i])) {
-      std::fprintf(stderr, "failed to launch node %u (%s)\n", i,
-                   opt.node_bin.c_str());
-      return 1;
-    }
-  }
-  std::string roster = "ROSTER";
-  for (const auto& child : children) {
-    roster += ' ';
-    roster += std::to_string(child.port);
-  }
-  roster += "\nGO\n";
-  for (std::uint32_t i = 0; i < config.nodes; ++i) {
-    auto& child = children[i];
-    if (!opt.trace_dir.empty()) {
-      // Arm the daemon's flight recorder before GO; it dumps the ring to
-      // this path right before DONE.
-      std::fprintf(child.in, "TRACE %s/node%u.trace %llu\n",
-                   opt.trace_dir.c_str(), i,
-                   static_cast<unsigned long long>(opt.trace_capacity));
-    }
-    std::fputs(roster.c_str(), child.in);
-    std::fflush(child.in);
-  }
-  std::printf("lifting_loopback: %u nodes launched, streaming %.1f s...\n",
-              config.nodes,
-              std::chrono::duration<double>(config.stream.duration).count());
-  std::fflush(stdout);
-
-  // ---- collect reports
-  bool ok = true;
-  for (std::uint32_t i = 0; i < config.nodes; ++i) {
-    if (read_report(children[i], opt.verbose)) {
-      g_done[i] = 1;  // the timeout handler skips nodes that reported
-    } else {
-      std::fprintf(stderr, "node %u died without a report\n", i);
-      ok = false;
-    }
-  }
-  for (std::uint32_t i = 0; i < config.nodes; ++i) {
-    int status = 0;
-    ::waitpid(children[i].pid, &status, 0);
-    if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
-      std::fprintf(stderr, "node %u exited abnormally (status %d)\n", i,
-                   status);
-      ok = false;
-    }
+  if (!run_daemons(opt, scenario,
+                   std::chrono::duration<double>(config.stream.duration)
+                       .count(),
+                   children)) {
+    return 1;
   }
   ::alarm(0);
-  if (!ok) return 1;
+  bool ok = true;
 
   // ---- aggregate
   std::uint64_t kind_count[kKinds] = {};

@@ -25,7 +25,6 @@
 // Standalone usage (mostly for debugging a single daemon by hand):
 //   ./lifting_node --self 3 < scenario_with_roster.txt
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -129,15 +128,10 @@ int main(int argc, char** argv) {
   if (ports.size() != config->nodes) return fail("roster size mismatch");
   host.set_roster(ports);
 
-  // Stream counter snapshots while running so the launcher (or a human
-  // tailing the pipe) sees progress mid-run, not just the postmortem. At
-  // most ~30 snapshots per run: the launcher drains the pipe only after
-  // the stream ends, so unbounded streaming could fill the pipe buffer
-  // and wedge the event loop on a blocked printf.
+  // Stream a counter snapshot every second so the launcher (or a human
+  // tailing the pipe) sees progress mid-run, not just the postmortem.
   obs::Registry registry;
-  const auto stat_interval =
-      std::max(seconds(1.0), Duration{config->duration.count() / 30});
-  host.set_stat_hook(stat_interval, [&] { emit_stats(host, registry); });
+  host.set_stat_hook(seconds(1.0), [&] { emit_stats(host, registry); });
 
   host.run();
 
